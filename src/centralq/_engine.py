@@ -96,6 +96,8 @@ class EngineContext:
         self.n = group.order
         self.N = len(aut)
         self.tables = aut.tables
+        self.images = aut.images
+        self.gen_pos = aut.gen_pos
         self.add = np.asarray(group.add_table)
         self.sub = np.asarray(group.sub_table)
         self.seed_base = f"enumeration:{group.descriptor}"
@@ -107,20 +109,19 @@ class EngineContext:
         return _inverse_perm(self.tables[h])
 
     def conj_perm(self, h: int) -> np.ndarray:
-        """Member permutation m -> h m h^-1."""
+        """Member permutation m -> h m h^-1, found from generator images alone."""
         tab = self.tables
         htab = tab[h]
-        hinv = self.inverse_table(h)
+        cols = self.inverse_table(h)[self.gen_pos]
         out = np.empty(self.N, dtype=np.int64)
         for lo in range(0, self.N, _CHUNK_ROWS):
             hi = min(lo + _CHUNK_ROWS, self.N)
-            rows = htab[tab[lo:hi][:, hinv]]
-            out[lo:hi] = self.aut.lookup_tables(rows)
+            out[lo:hi] = self.aut.lookup_images(htab[tab[lo:hi, cols]])
         return out
 
     def closure_mask(self, gens: list[int]) -> tuple[np.ndarray, int]:
         """Members generated by gens, as a boolean mask over member indices."""
-        tab = self.tables
+        tab, images = self.tables, self.images
         mask = np.zeros(self.N, dtype=bool)
         ident = self.aut.identity_index
         mask[ident] = True
@@ -128,16 +129,17 @@ class EngineContext:
         size = 1
         gen_tabs = [tab[g] for g in gens]
         while len(frontier):
-            rows = tab[frontier]
+            rows = images[frontier]
             new = []
+            # distinct frontier members give distinct products per generator,
+            # and marking them before the next generator keeps rounds disjoint
             for gt in gen_tabs:
-                idx = self.aut.lookup_tables(gt[rows])
-                fresh = ~mask[idx]
-                idx = np.unique(idx[fresh])
+                idx = self.aut.lookup_images(gt[rows])
+                idx = idx[~mask[idx]]
                 mask[idx] = True
                 size += len(idx)
                 new.append(idx)
-            frontier = np.unique(np.concatenate(new)) if new else np.empty(0, np.int64)
+            frontier = np.concatenate(new) if new else np.empty(0, np.int64)
         return mask, size
 
     def find_generators(self, pool: np.ndarray | None, expected: int, seed: str) -> list[int]:
@@ -189,13 +191,14 @@ class EngineContext:
         return self._agens
 
     def centralizer_mask(self, f: int) -> np.ndarray:
-        tab = self.tables
+        """Members m with f m == m f, compared on the generator images."""
+        tab, images = self.tables, self.images
         ftab = tab[f]
+        cols = ftab[self.gen_pos]
         out = np.empty(self.N, dtype=bool)
         for lo in range(0, self.N, _CHUNK_ROWS):
             hi = min(lo + _CHUNK_ROWS, self.N)
-            rows = tab[lo:hi]
-            out[lo:hi] = np.all(ftab[rows] == rows[:, ftab], axis=1)
+            out[lo:hi] = np.all(ftab[images[lo:hi]] == tab[lo:hi, cols], axis=1)
         return out
 
     def conjugacy_class_labels(self) -> np.ndarray:
@@ -333,7 +336,9 @@ def process_class(ctx: EngineContext, f: int, collect: bool = False) -> ClassRes
     reps_off = np.zeros(len(reps) + 1, dtype=np.int64)
     np.cumsum(counts, out=reps_off[1:])
     reps_flat = np.concatenate(reps) if reps else np.empty(0, np.int64)
-    r_of_point = reps_flat[reps_off[sgid[m_of_point]] + j_of_point].astype(np.int16)
+    r_of_point = reps_flat[reps_off[sgid[m_of_point]] + j_of_point].astype(
+        ctx.group.index_dtype
+    )
     del j_of_point
 
     pperms = []

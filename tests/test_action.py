@@ -1,5 +1,9 @@
+import random
+
+import numpy as np
 import pytest
 
+from centralq._engine import EngineContext
 from centralq.abelian import cyclic_group, parse_group
 from centralq.action import (
     centralizer,
@@ -180,3 +184,64 @@ def test_direct_pair_orbit_count_cap():
     A = aut_group(parse_group("C2^4"))
     with pytest.raises(ValueError, match="cap"):
         direct_pair_orbit_count(A, cap=1000)
+
+
+def _power_inverse(f):
+    """f^-1 as f^(k-1), found by object-level composition alone."""
+    one = identity(f.group)
+    power = f
+    while f.compose(power) != one:
+        power = f.compose(power)
+    return power
+
+
+def _members_for(desc):
+    A = aut_group(parse_group(desc))
+    if len(A) <= 200:
+        return A, list(range(len(A))), list(range(len(A)))
+    rng = random.Random(desc)
+    return A, rng.sample(range(len(A)), 12), rng.sample(range(len(A)), 300)
+
+
+@pytest.mark.parametrize("desc", ["C4xC2", "C3xC3", "C2^3", "C4xC2xC3", "C4xC4xC2"])
+def test_conj_perm_matches_object_conjugation(desc):
+    A, hs, ms = _members_for(desc)
+    ctx = EngineContext(A.group, A)
+    members = [A.member(m) for m in ms]
+    for h in hs:
+        perm = ctx.conj_perm(h)
+        hf = A.member(h)
+        hinv = _power_inverse(hf)
+        for m, mf in zip(ms, members):
+            assert perm[m] == A.index_of(hf.compose(mf).compose(hinv))
+
+
+@pytest.mark.parametrize("desc", ["C4xC2", "C3xC3", "C2^3", "C4xC2xC3", "C4xC4xC2"])
+def test_centralizer_mask_matches_object_commutation(desc):
+    A, fs, ms = _members_for(desc)
+    ctx = EngineContext(A.group, A)
+    members = [A.member(m) for m in ms]
+    for f in fs:
+        mask = ctx.centralizer_mask(f)
+        ff = A.member(f)
+        for m, mf in zip(ms, members):
+            assert mask[m] == (ff.compose(mf) == mf.compose(ff))
+
+
+@pytest.mark.parametrize("desc", ["C3xC3", "C4xC2xC3", "C4xC4xC2"])
+def test_closure_mask_of_one_member_is_its_cyclic_subgroup(desc):
+    A = aut_group(parse_group(desc))
+    ctx = EngineContext(A.group, A)
+    for h in random.Random(desc).sample(range(len(A)), 8):
+        f = A.member(h)
+        powers = {A.index_of(f)}
+        power = f
+        while True:
+            power = f.compose(power)
+            if A.index_of(power) in powers:
+                break
+            powers.add(A.index_of(power))
+        mask, size = ctx.closure_mask([h])
+        assert size == len(powers)
+        assert set(np.flatnonzero(mask).tolist()) == powers
+    assert ctx.closure_mask(ctx.agens)[1] == len(A)

@@ -257,3 +257,35 @@ def test_fixture_loads_and_is_consistent():
             assert sum(r.cq for r in rows) == orow.cq
         if orow.mq is not None:
             assert sum(r.mq for r in rows) == orow.mq
+
+
+@pytest.mark.parametrize(
+    "conj_classes,budget,code,line",
+    [
+        ("6", "20000", EXIT_OK, "0 mismatched"),
+        ("7", "20000", EXIT_MISMATCH, "MISMATCH C2xC2xC2 conj_classes: computed 6"),
+        ("6", "100", EXIT_OK, "skip C2xC2xC2 conj_classes: over budget"),
+    ],
+)
+def test_verify_class_count_only_row(capsys, tmp_path, conj_classes, budget, code, line):
+    # a row whose only enumerated cell is the class count takes the
+    # conjugacy-classes path instead of a full group report
+    fixdir = tmp_path / "fixture"
+    fixdir.mkdir()
+    src = Path(__file__).resolve().parents[1] / "src" / "centralq" / "data"
+    rows = list(csv.reader(io.StringIO((src / "reference_groups.csv").read_text())))
+    for row in rows:
+        if row[2] == "C2xC2xC2":
+            row[4] = conj_classes
+            row[5:] = ["?"] * len(row[5:])
+    out_text = io.StringIO()
+    csv.writer(out_text).writerows(rows)
+    (fixdir / "reference_groups.csv").write_text(out_text.getvalue())
+    shutil.copy(src / "reference_orders.csv", fixdir / "reference_orders.csv")
+
+    got, out, _ = run(
+        capsys, "verify", "--max", "8", "--fixture", str(fixdir), "--no-cache",
+        "--aut-budget", budget,
+    )
+    assert got == code
+    assert line in out

@@ -1,6 +1,8 @@
+import hashlib
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 import centralq.endo as endo_mod
@@ -241,3 +243,87 @@ def test_debug_serialization_blocks():
     g = parse_group("C4xC3")
     f = scalar_endo(g, 5)
     assert f.block_lists() == [[[1]], [[2]]]
+
+
+def _tables_md5(A):
+    return hashlib.md5(np.ascontiguousarray(A.tables).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "desc,ident,first_gens",
+    [
+        ("C2^4", 9704, [9705, 9706, 9708, 9712, 9728, 9752]),
+        ("C4xC4xC4", 18496, [18497, 18498, 18504, 18528, 18688, 18880]),
+        ("C4xC4xC2xC2", 0, [1, 2, 3, 4, 5, 6]),
+        ("C4xC2xC3", 0, [1, 2, 4, 8]),
+    ],
+)
+def test_member_order_is_pinned(desc, ident, first_gens):
+    # class representatives and the seeded generator searches depend on it
+    A = aut_group(parse_group(desc))
+    assert A.identity_index == ident
+    assert A.gens[: len(first_gens)] == first_gens
+
+
+@pytest.mark.parametrize(
+    "desc,digest",
+    [
+        ("C3^3", "c00826a91eb953d2f2382018508d39e0"),  # candidate filtering
+        ("C4xC4xC2xC2", "559fa23a015f5a7cb10141e7c74c0358"),  # closure
+        ("C4xC2xC3", "9bd9b128dd60e0dae57c154c159d14a1"),  # two primes
+    ],
+)
+def test_member_tables_are_pinned(desc, digest):
+    assert _tables_md5(aut_group(parse_group(desc))) == digest
+
+
+@pytest.mark.parametrize("desc", ["C4xC2xC3", "C9xC3", "C2^3", "C4xC4xC2xC2"])
+def test_keys_follow_generator_image_order(desc):
+    A = aut_group(parse_group(desc))
+    keys = A.keys
+    assert keys.min() >= 0 and keys.max() < len(A.index)
+    # generator 0 least significant, element-index order within a generator
+    assert np.array_equal(np.argsort(keys), np.lexsort(A.images.T))
+    assert np.array_equal(A.index[keys], np.arange(len(A)))
+    assert np.count_nonzero(A.index >= 0) == len(A)
+
+
+def test_index_space_is_the_candidate_count():
+    # C4xC2: entries 4, 2, 2, 2 legal values; C3: 3
+    assert len(aut_group(parse_group("C4xC2xC3")).index) == 32 * 3
+    assert len(aut_group(parse_group("C2^3")).index) == 2**9
+
+
+def test_lookup_rejects_singular_endomorphism():
+    g = parse_group("C2^3")
+    A = aut_group(g)
+    singular = Endomorphism(g, [[[1, 1, 0], [0, 1, 1], [1, 0, 1]]])  # det 0 mod 2
+    assert not singular.is_automorphism()
+    with pytest.raises(KeyError):
+        A.lookup_tables(singular.table[None, :])
+    with pytest.raises(KeyError):
+        A.index_of(singular)
+    # one foreign row spoils the whole batch
+    batch = np.stack([A.tables[3], singular.table, A.tables[5]])
+    with pytest.raises(KeyError):
+        A.lookup_tables(batch)
+    assert A.lookup_tables(batch[[0, 2]]).tolist() == [3, 5]
+
+
+@pytest.mark.parametrize(
+    "desc,gen,image",
+    [
+        ("C4xC2", 1, (1, 0)),  # an order-2 generator sent to an order-4 element
+        ("C9xC3", 1, (1, 0)),  # an order-3 generator sent to an order-9 element
+        ("C2xC3", 0, (1, 1)),  # a 2-part generator sent into the 3-part
+    ],
+)
+def test_lookup_rejects_illegal_generator_image(desc, gen, image):
+    g = parse_group(desc)
+    A = aut_group(g)
+    row = np.array(identity(g).table)
+    row[g._strides[gen]] = g.index_of(image)
+    with pytest.raises(KeyError):
+        A.lookup_tables(row[None, :])
+    with pytest.raises(KeyError):
+        A.index_of_table(row)
