@@ -11,6 +11,14 @@ centralizer C of f acting on the set of pairs (member m, coset of the
 image of x - f(x) - m(x)); summed over representatives this yields the
 central count, and restricting to members commuting with f yields the
 medial count.
+
+The image of x - f(x) - m(x) is a homomorphic image, so it is spanned by
+the values on the rank canonical generators, read from the members'
+generator columns.  A per-group SubgroupRegistry numbers the subgroups
+met so far, keeps each one's cosets (found once per subgroup), and fills
+a join table join[s, x] = id of S + <x> on demand; every member's image
+subgroup is then rank gathers away from the trivial subgroup, and no
+step builds a member x element array.
 """
 
 from __future__ import annotations
@@ -28,6 +36,10 @@ from .abelian import AbelianGroup
 from .endo import AutGroup
 
 log = logging.getLogger(__name__)
+
+# bumped whenever a change could alter computed counts; cached reports
+# written by another engine version are ignored
+ENGINE_VERSION = 2
 
 _CHUNK_ROWS = 1 << 19
 _MAX_GENERATOR_TRIES = 64
@@ -60,35 +72,96 @@ def _orbit_min_labels(perms: list[np.ndarray], count: int) -> np.ndarray:
             return labels
 
 
-def _unique_masks(masks: np.ndarray):
-    """np.unique with inverse for (N,) or (N, words) mask arrays."""
-    if masks.ndim == 1:
-        uniq, inverse = np.unique(masks, return_inverse=True)
-        return uniq, inverse.reshape(-1)
-    view = np.ascontiguousarray(masks).view(
-        np.dtype((np.void, masks.dtype.itemsize * masks.shape[1]))
-    ).reshape(-1)
-    _, first, inverse = np.unique(view, return_index=True, return_inverse=True)
-    return masks[first], inverse.reshape(-1)
+class SubgroupRegistry:
+    """The subgroups of one group met so far, with their cosets and joins.
 
+    Subgroup ids are dense and stable; id 0 is the trivial subgroup.  Each
+    subgroup is keyed by its packed element mask and stores that mask,
+    its coset representatives (the smallest element of each coset, in
+    ascending order) and a `cidx` row mapping every element to the ordinal
+    of its coset.  `join[s, x]` is the id of S + <x>, or -1 until filled.
+    """
 
-def _mask_bits(mask_row, n: int) -> np.ndarray:
-    if np.ndim(mask_row) == 0:
-        words = [int(mask_row)]
-    else:
-        words = [int(w) for w in mask_row]
-    out = []
-    for w, word in enumerate(words):
-        base = 64 * w
-        while word:
-            low = word & -word
-            out.append(base + low.bit_length() - 1)
-            word ^= low
-    return np.asarray(sorted(out), dtype=np.int64)
+    def __init__(self, group: AbelianGroup):
+        self.n = group.order
+        self.add = np.asarray(group.add_table)
+        self.sub = np.asarray(group.sub_table)
+        self.keys: list[bytes] = []
+        self.reps: list[np.ndarray] = []
+        self._ids: dict[bytes, int] = {}
+        self._masks = np.zeros((0, self.n), dtype=bool)
+        self._cidx = np.zeros((0, self.n), dtype=np.int64)
+        self._join = np.zeros((0, self.n), dtype=np.int32)
+        trivial = np.zeros(self.n, dtype=bool)
+        trivial[0] = True
+        self._register(trivial, np.packbits(trivial).tobytes())
+
+    def __len__(self):
+        return len(self.keys)
+
+    @property
+    def masks(self) -> np.ndarray:
+        return self._masks[: len(self)]
+
+    @property
+    def cidx(self) -> np.ndarray:
+        return self._cidx[: len(self)]
+
+    @property
+    def join_table(self) -> np.ndarray:
+        return self._join[: len(self)]
+
+    def _register(self, mask: np.ndarray, key: bytes) -> int:
+        sid = self._ids.get(key)
+        if sid is not None:
+            return sid
+        sid = len(self.keys)
+        if sid == len(self._masks):
+            extra = max(16, sid)
+            self._masks = np.pad(self._masks, ((0, extra), (0, 0)))
+            self._cidx = np.pad(self._cidx, ((0, extra), (0, 0)))
+            self._join = np.pad(self._join, ((0, extra), (0, 0)), constant_values=-1)
+        elems = np.flatnonzero(mask)
+        canon = self.add[:, elems].min(axis=1)  # smallest element of each coset
+        reps = np.flatnonzero(canon == np.arange(self.n))
+        ordinal = np.empty(self.n, dtype=np.int64)
+        ordinal[reps] = np.arange(len(reps))
+        self._masks[sid] = mask
+        self._cidx[sid] = ordinal[canon]
+        self._join[sid, elems] = sid
+        self.keys.append(key)
+        self.reps.append(reps)
+        self._ids[key] = sid
+        return sid
+
+    def join(self, s: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Ids of S + <x> for parallel arrays of subgroup ids and elements."""
+        out = self._join[s, x]
+        missing = out < 0
+        if missing.any():
+            pairs = np.unique(s[missing].astype(np.int64) * self.n + x[missing])
+            self._fill(pairs // self.n, pairs % self.n)
+            out = self._join[s, x]
+        return out
+
+    def _fill(self, sids: np.ndarray, xs: np.ndarray) -> None:
+        # S + <x> by doubling: after k rounds a row holds S + {0..2^k - 1}x,
+        # and once adding y = 2^k x changes nothing the row is a subgroup
+        masks = self._masks[sids]
+        y = xs
+        while True:
+            grown = masks | np.take_along_axis(masks, self.sub[:, y].T, axis=1)
+            if np.array_equal(grown, masks):
+                break
+            masks = grown
+            y = self.add[y, y]
+        packed = np.packbits(masks, axis=1)
+        ids = [self._register(m, p.tobytes()) for m, p in zip(masks, packed)]
+        self._join[sids, xs] = ids
 
 
 class EngineContext:
-    """Shared immutable state for one group's enumeration."""
+    """Shared state for one group's enumeration; only the subgroup registry grows."""
 
     def __init__(self, group: AbelianGroup, aut: AutGroup):
         self.group = group
@@ -98,10 +171,10 @@ class EngineContext:
         self.tables = aut.tables
         self.images = aut.images
         self.gen_pos = aut.gen_pos
-        self.add = np.asarray(group.add_table)
         self.sub = np.asarray(group.sub_table)
         self.seed_base = f"enumeration:{group.descriptor}"
         self._agens: list[int] | None = None
+        self._subgroups: SubgroupRegistry | None = None
 
     # -- member-space primitives -------------------------------------------
 
@@ -190,6 +263,13 @@ class EngineContext:
             self._agens = gens
         return self._agens
 
+    @property
+    def subgroups(self) -> SubgroupRegistry:
+        """The group's subgroup registry, filled as classes meet new subgroups."""
+        if self._subgroups is None:
+            self._subgroups = SubgroupRegistry(self.group)
+        return self._subgroups
+
     def centralizer_mask(self, f: int) -> np.ndarray:
         """Members m with f m == m f, compared on the generator images."""
         tab, images = self.tables, self.images
@@ -217,6 +297,7 @@ class EngineContext:
 @dataclass
 class ClassResult:
     rep: int
+    centralizer_order: int
     pair_orbits: int
     commuting_pair_orbits: int
     cq: int
@@ -226,76 +307,52 @@ class ClassResult:
 
 
 def _coset_data(ctx: EngineContext, f: int):
-    """Image subgroups of x - f(x) - m(x) for every member m, with cosets."""
-    n, N, tab = ctx.n, ctx.N, ctx.tables
-    ftab = tab[f]
-    idx = np.arange(n)
-    d1 = ctx.sub[idx, ftab]  # x - f(x)
-    st = ctx.sub[d1]  # st[x, e] = (x - f(x)) - e
-    cols = idx[None, :]
-    words = (n + 63) // 64
-    masks = np.empty((N, words) if words > 1 else N, dtype=np.uint64)
-    one = np.uint64(1)
-    for lo in range(0, N, _CHUNK_ROWS):
-        hi = min(lo + _CHUNK_ROWS, N)
-        t = st[cols, tab[lo:hi]].astype(np.int64)
-        if words > 1:
-            for w in range(words):
-                in_word = (t >> 6) == w
-                part = np.where(in_word, one << (t & 63).astype(np.uint64), np.uint64(0))
-                masks[lo:hi, w] = np.bitwise_or.reduce(part, axis=1)
-        else:
-            masks[lo:hi] = np.bitwise_or.reduce(one << t.astype(np.uint64), axis=1)
-    uniq, sgid = _unique_masks(masks)
-    del masks
+    """Image subgroups of x - f(x) - m(x) for every member m, with cosets.
 
-    n_sg = len(uniq)
-    elems = []
-    canon = np.empty((n_sg, n), dtype=np.int64)
-    cidx = np.empty((n_sg, n), dtype=np.int64)
-    counts = np.empty(n_sg, dtype=np.int64)
-    reps = []
-    add = ctx.add
-    for s in range(n_sg):
-        u = _mask_bits(uniq[s], n)
-        elems.append(u)
-        c = np.full(n, -1, dtype=np.int64)
-        rlist = []
-        for x in range(n):
-            if c[x] < 0:
-                rlist.append(x)
-                c[add[x, u]] = x
-        canon[s] = c
-        rarr = np.asarray(rlist, dtype=np.int64)
-        reps.append(rarr)
-        counts[s] = len(rarr)
-        ordinal = np.full(n, -1, dtype=np.int64)
-        ordinal[rarr] = np.arange(len(rarr))
-        cidx[s] = ordinal[c]
+    The map is a homomorphism, so its image is spanned by its values on
+    the rank canonical generators, t[m] = (g - f(g) - m(g) for each g).
+    Every member's image is built one generator at a time through the
+    registry's join table, s <- join[s, t[:, i]], starting from the
+    trivial subgroup: rank gathers over the members and no member x
+    element array.  The subgroups met (the class's family) are renumbered
+    densely for the class.
 
-    mask_lookup = {}
-    for s in range(n_sg):
-        key = tuple(int(w) for w in np.atleast_1d(uniq[s]))
-        mask_lookup[key] = s
-    return sgid.astype(np.int32), elems, canon, cidx, counts, reps, mask_lookup, words
+    Returns (sgid, family, cidx, counts, reps): the class-local subgroup
+    id of every member, the registry ids of the family, and per family
+    subgroup its element -> coset ordinal row, coset count and ascending
+    coset representatives.
+    """
+    reg = ctx.subgroups
+    gp = ctx.gen_pos
+    d1 = ctx.sub[gp, ctx.tables[f][gp]]  # g - f(g) per canonical generator g
+    t = ctx.sub[d1, ctx.images]  # (N, rank): g - f(g) - m(g)
+    s = np.zeros(ctx.N, dtype=np.int32)
+    for i in range(t.shape[1]):
+        s = reg.join(s, t[:, i])
+    present = np.zeros(len(reg), dtype=bool)
+    present[s] = True
+    family = np.flatnonzero(present)
+    local = np.cumsum(present, dtype=np.int32) - 1
+    reps = [reg.reps[k] for k in family]
+    counts = np.asarray([len(r) for r in reps], dtype=np.int64)
+    return local[s], family, reg.cidx[family], counts, reps
 
 
-def _transport_table(ctx, elems, mask_lookup, words, htab):
-    """Subgroup id -> subgroup id of its image under the automorphism h."""
-    n_sg = len(elems)
-    out = np.empty(n_sg, dtype=np.int32)
-    for s in range(n_sg):
-        img = htab[elems[s]]
-        acc = [0] * words
-        for e in img:
-            acc[int(e) >> 6] |= 1 << (int(e) & 63)
-        key = tuple(acc)
-        if key not in mask_lookup:
+def _transport_table(ctx: EngineContext, family: np.ndarray, h: int) -> np.ndarray:
+    """Class-local subgroup id -> class-local id of its image under member h."""
+    reg = ctx.subgroups
+    lookup = {reg.keys[k]: j for j, k in enumerate(family)}
+    # x lies in h(S) exactly when h^-1(x) lies in S
+    images = np.packbits(reg.masks[family][:, ctx.inverse_table(h)], axis=1)
+    out = np.empty(len(family), dtype=np.int32)
+    for j, key in enumerate(images):
+        sid = lookup.get(key.tobytes())
+        if sid is None:
             raise RuntimeError(
                 "internal invariant violated: image subgroup escaped the family "
                 "(the induced coset action would be ill-defined)"
             )
-        out[s] = mask_lookup[key]
+        out[j] = sid
     return out
 
 
@@ -325,7 +382,7 @@ def process_class(ctx: EngineContext, f: int, collect: bool = False) -> ClassRes
     commuting_pair_orbits = int(np.count_nonzero(yroots & commuting))
 
     # pair space: (member m, coset of Im(x - f(x) - m(x)))
-    sgid, elems, canon, cidx, counts, reps, mask_lookup, words = _coset_data(ctx, f)
+    sgid, family, cidx, counts, reps = _coset_data(ctx, f)
     cnt_m = counts[sgid]
     base = np.zeros(N + 1, dtype=np.int64)
     np.cumsum(cnt_m, out=base[1:])
@@ -344,7 +401,7 @@ def process_class(ctx: EngineContext, f: int, collect: bool = False) -> ClassRes
     pperms = []
     for h, mp in zip(cgens, mperms):
         htab = ctx.tables[h]
-        transport = _transport_table(ctx, elems, mask_lookup, words, htab)
+        transport = _transport_table(ctx, family, h)
         sg2 = sgid[mp]
         if not np.array_equal(sg2, transport[sgid]):
             raise RuntimeError(
@@ -377,6 +434,7 @@ def process_class(ctx: EngineContext, f: int, collect: bool = False) -> ClassRes
         ]
     return ClassResult(
         rep=f,
+        centralizer_order=c_size,
         pair_orbits=pair_orbits,
         commuting_pair_orbits=commuting_pair_orbits,
         cq=cq,
@@ -443,9 +501,14 @@ def enumerate_counts(
                 sum(r.cq for r in results),
             )
 
+    pair_orbits = sum(r.pair_orbits for r in results)
+    # Burnside: Aut(G) acting on pairs by simultaneous conjugation has
+    # sum over classes of |C(f)| orbits
+    if pair_orbits != sum(r.centralizer_order for r in results):
+        raise AssertionError("pair orbits disagree with the sum of centralizer orders")
     return GroupCounts(
         conj_classes=len(class_reps),
-        pair_orbits=sum(r.pair_orbits for r in results),
+        pair_orbits=pair_orbits,
         commuting_pair_orbits=sum(r.commuting_pair_orbits for r in results),
         cq=sum(r.cq for r in results),
         mq=sum(r.mq for r in results),

@@ -6,8 +6,8 @@ Subcommands:
     reps    -- the classified triples (and optionally Cayley tables) of a group
     verify  -- recompute the bundled reference table and compare cell by cell
 
-Exit codes: 0 success, 1 usage or parse error, 2 resource limit exceeded,
-3 verification mismatch.
+Exit codes: 0 success, 1 usage or parse error, 2 resource limit exceeded
+(including a --jobs worker that died), 3 verification mismatch.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import json
 import logging
 import os
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -461,6 +462,13 @@ def main(argv=None) -> int:
         return args.func(args)
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except BrokenProcessPool:
+        print(
+            "error: a --jobs worker process died (often out of memory); "
+            "retry with fewer jobs",
+            file=sys.stderr,
+        )
         return EXIT_RESOURCE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -215,7 +215,11 @@ def default_cache_dir() -> Path:
 
 
 class ReportCache:
-    """One JSON file per group descriptor; only complete reports are kept."""
+    """One JSON file per group descriptor; only complete reports are kept.
+
+    Entries record the engine version that computed them, and an entry
+    from any other version reads as a miss.
+    """
 
     def __init__(self, directory: Path | str | None = None):
         self.directory = Path(directory) if directory else default_cache_dir()
@@ -231,6 +235,8 @@ class ReportCache:
             return None
         if payload.get("schema") != SCHEMA_VERSION:
             return None
+        if payload.get("engine") != _engine.ENGINE_VERSION:
+            return None
         report = GroupReport.from_dict(payload)
         return report if report.complete else None
 
@@ -238,7 +244,11 @@ class ReportCache:
         if not report.complete:
             return
         self.directory.mkdir(parents=True, exist_ok=True)
-        payload = {"schema": SCHEMA_VERSION, **report.to_dict()}
+        payload = {
+            "schema": SCHEMA_VERSION,
+            "engine": _engine.ENGINE_VERSION,
+            **report.to_dict(),
+        }
         fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as fh:

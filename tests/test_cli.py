@@ -78,6 +78,19 @@ def test_budget_exit_code(capsys):
     assert "20158709760" in err
 
 
+def test_broken_worker_pool_exit_code(capsys, monkeypatch):
+    import os
+
+    from centralq import _engine
+
+    # forked workers inherit the patch and die as if killed for memory
+    monkeypatch.setattr(_engine, "process_class", lambda *args: os._exit(9))
+    code, _, err = run(capsys, "count", "--group", "C2xC2", "--jobs", "2", "--no-cache")
+    assert code == EXIT_RESOURCE
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_count_order_over_budget_marks_unknown(capsys):
     code, out, err = run(
         capsys, "count", "--order", "32", "--aut-budget", "1000",

@@ -222,6 +222,24 @@ def test_cache_round_trip(tmp_path):
     assert cache.get("C8") is None
 
 
+def test_cache_ignores_other_engine_versions(tmp_path, monkeypatch):
+    from centralq import _engine
+
+    cache = ReportCache(tmp_path)
+    rep = enumerate_group(parse_group("C2xC2"))
+    cache.put(rep)
+    payload = json.loads((tmp_path / "C2xC2.json").read_text())
+    assert payload["engine"] == _engine.ENGINE_VERSION
+    assert cache.get("C2xC2") == rep
+    # an entry written by an older engine is a miss
+    monkeypatch.setattr(_engine, "ENGINE_VERSION", _engine.ENGINE_VERSION + 1)
+    assert cache.get("C2xC2") is None
+    # so is one that names no engine version at all
+    del payload["engine"]
+    (tmp_path / "C2xC2.json").write_text(json.dumps(payload))
+    assert cache.get("C2xC2") is None
+
+
 def test_classify_representatives_trivial_group():
     triples = classify_representatives(trivial_group())
     assert len(triples) == 1
