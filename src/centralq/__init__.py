@@ -24,8 +24,6 @@ from .action import (
     centralizer,
     conjugacy_class_reps,
     direct_pair_orbit_count,
-    orbit_reps_conjugation,
-    orbit_reps_on_cosets,
 )
 from .counting import (
     GroupReport,
@@ -101,8 +99,6 @@ __all__ = [
     "is_medial",
     "make_group",
     "one_minus",
-    "orbit_reps_conjugation",
-    "orbit_reps_on_cosets",
     "parse_group",
     "scalar_endo",
     "trivial_group",

@@ -218,18 +218,19 @@ class EngineContext:
     def find_generators(self, pool: np.ndarray | None, expected: int, seed: str) -> list[int]:
         """A small generating set for a subgroup given by its member list.
 
-        pool is the sorted member-index list (None means the whole group);
-        random elements are added until the closure has the expected size.
+        pool is the sorted member-index list (None means the whole group,
+        whose generators are cached as `agens`); random members outside the
+        current closure are added until it has the expected size.  Each
+        addition at least doubles the closure, so 64 tries cover any group.
         """
         if expected == 1:
             return [self.aut.identity_index]
-        if pool is None or expected == self.N:
+        if pool is None:
             return list(self.agens)
         rng = random.Random(f"{self.seed_base}:{seed}")
         gens: list[int] = []
         mask = np.zeros(self.N, dtype=bool)
         mask[self.aut.identity_index] = True
-        size = 1
         for _ in range(_MAX_GENERATOR_TRIES):
             outside = pool[~mask[pool]]
             if not len(outside):
@@ -246,21 +247,7 @@ class EngineContext:
     def agens(self) -> list[int]:
         """A reduced generating set for the whole automorphism group."""
         if self._agens is None:
-            rng = random.Random(f"{self.seed_base}:whole-group")
-            gens: list[int] = []
-            size = 1
-            mask = np.zeros(self.N, dtype=bool)
-            mask[self.aut.identity_index] = True
-            # seed with random members, fall back to the construction set
-            for _ in range(_MAX_GENERATOR_TRIES):
-                if size == self.N:
-                    break
-                candidates = np.flatnonzero(~mask)
-                gens.append(int(candidates[rng.randrange(len(candidates))]))
-                mask, size = self.closure_mask(gens)
-            if size != self.N:
-                gens = list(self.aut.gens)
-            self._agens = gens
+            self._agens = self.find_generators(np.arange(self.N), self.N, "whole-group")
         return self._agens
 
     @property

@@ -173,7 +173,9 @@ class AbelianGroup:
 
     @property
     def index_dtype(self):
-        return np.uint8 if self.order <= 256 else np.uint16
+        if self.order <= 256:
+            return np.uint8
+        return np.uint16 if self.order <= 65536 else np.uint32
 
     @cached_property
     def coords_array(self) -> np.ndarray:

@@ -6,35 +6,35 @@ maps between components of different primes are always zero).  The full
 automorphism group is materialized as an array of action tables, one row
 per automorphism, which keeps group-sized orbit computations cheap.
 
+Aut(G) is built one way for every group: a breadth-first closure from
+the elementary matrices (unit scalings and minimal transvections) of each
+prime component, embedded with identity blocks on the other primes.  Each
+round's new members are ordered by key, and the closure must reach
+exactly the order given by the |Aut| formula.
+
 An automorphism is determined by the images of the rank canonical
 generators, and generator i can only map into a known finite set of
 elements.  Numbering each generator's legal images and reading the rank
 numbers as digits of one mixed-radix number gives every member a dense
-key below the number of candidate matrices.  AutGroup keeps one int32
+key below the number of legal matrices.  AutGroup keeps one int32
 array from key to member index (-1 for non-members), so a member is found
 from its rank generator images by a single gather: no sorting, no
 searching and no full n-column table comparison.  The index has one
-entry per candidate matrix, at most 12 per member for the groups of
+entry per legal matrix, at most 12 per member for the groups of
 order up to 256 within the default budget: 2^25 entries (134 MB) for
 C2^5, against 320 MB of tables.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Sequence
 from functools import cached_property
-from math import prod
 
 import numpy as np
 
 from .abelian import AbelianGroup, GroupElement, Subgroup
 
 DEFAULT_AUT_BUDGET = 20_000_000
-
-# candidate matrices are enumerated and filtered below this count,
-# otherwise the group is grown by closure from a generating set
-_CANDIDATE_LIMIT = 1 << 18
 
 
 class ResourceLimitError(RuntimeError):
@@ -350,71 +350,31 @@ def _keys_of_images(codes: np.ndarray, images: np.ndarray) -> np.ndarray:
     return keys
 
 
-def _tables_by_candidates(gp: AbelianGroup, p: int, exps: Sequence[int]) -> np.ndarray:
-    """Enumerate all legal matrices and keep the invertible ones."""
-    k = len(exps)
-    if k == 0:
-        return np.zeros((1, 1), dtype=gp.index_dtype)
-    steps = np.zeros((k, k), dtype=np.int64)
-    counts = np.zeros((k, k), dtype=np.int64)
-    for i in range(k):
-        for j in range(k):
-            steps[i, j] = p ** max(0, exps[i] - exps[j])
-            counts[i, j] = p ** min(exps[i], exps[j])
-    flat_counts = counts.reshape(-1)
-    flat_steps = steps.reshape(-1)
-    total = int(flat_counts.prod())
-    ids = np.arange(total, dtype=np.int64)
-    entries = np.zeros((total, k * k), dtype=np.int64)
-    stride = 1
-    for e in range(k * k - 1, -1, -1):
-        entries[:, e] = (ids // stride) % flat_counts[e] * flat_steps[e]
-        stride *= flat_counts[e]
-    mats = entries.reshape(total, k, k)
-
-    # invertible iff the induced map on G/pG is invertible: det != 0 mod p
-    det = np.zeros(total, dtype=np.int64)
-    for perm in itertools.permutations(range(k)):
-        sign = 1
-        seen = list(perm)
-        for a in range(k):
-            for b in range(a + 1, k):
-                if seen[a] > seen[b]:
-                    sign = -sign
-        term = np.ones(total, dtype=np.int64)
-        for i in range(k):
-            term = term * mats[:, i, perm[i]] % p
-        det = (det + sign * term) % p
-    mats = mats[det != 0]
-
-    coords = gp.coords_array
-    mods = np.asarray(gp.moduli, dtype=np.int64)
-    out = np.empty((len(mats), gp.order), dtype=gp.index_dtype)
-    chunk = max(1, (1 << 22) // max(1, gp.order * k))
-    for lo in range(0, len(mats), chunk):
-        m = mats[lo : lo + chunk]
-        imgs = np.einsum("cij,nj->cni", m, coords) % mods
-        out[lo : lo + chunk] = gp.pack_coords(imgs).astype(gp.index_dtype)
-    return out
+def _generators(group: AbelianGroup) -> list[Endomorphism]:
+    """Elementary matrices of each prime component, identity on the others."""
+    eye = identity(group).blocks
+    gens = []
+    for c, (p, i0, i1) in enumerate(group.prime_spans):
+        for m in _elementary_matrices(p, [e for _, e in group.factors[i0:i1]]):
+            gens.append(Endomorphism(group, eye[:c] + (m,) + eye[c + 1 :]))
+    return gens
 
 
-def _tables_by_closure(gp: AbelianGroup, p: int, exps: Sequence[int], expected: int) -> np.ndarray:
-    """Grow the group from elementary generators by breadth-first closure.
+def _tables_by_closure(gp: AbelianGroup, gen_tables: list[np.ndarray], expected: int) -> np.ndarray:
+    """Grow the group from generator tables by breadth-first closure.
 
     Each round's new members are ordered by key, so a member's index does
     not depend on which generator reached it first.
     """
     gen_pos = np.asarray(gp._strides, dtype=np.int64)
     codes, space = _image_codes(gp)
-    gen_tables = [
-        Endomorphism(gp, [m]).table for m in _elementary_matrices(p, exps)
-    ]
     tables = np.empty((expected, gp.order), dtype=gp.index_dtype)
     tables[0] = identity(gp).table
     seen = np.zeros(space, dtype=bool)
     seen[_keys_of_images(codes, tables[:1, gen_pos])] = True
     lo, hi = 0, 1
-    while lo < hi:
+    # with no generators (Aut(C2), the trivial group) the identity is all
+    while lo < hi and gen_tables:
         frontier = tables[lo:hi]
         frontier_images = frontier[:, gen_pos]
         # one generator at a time keeps the transient arrays bounded; the
@@ -436,20 +396,9 @@ def _tables_by_closure(gp: AbelianGroup, p: int, exps: Sequence[int], expected: 
     if hi != expected:
         raise AssertionError(
             f"generating set incomplete for {gp.descriptor}: "
-            f"closure size {hi} != {expected}"
+            f"closure size {hi} != |Aut| = {expected}"
         )
     return tables
-
-
-def _component_tables(gp: AbelianGroup) -> np.ndarray:
-    (p, i0, i1) = gp.prime_spans[0]
-    exps = [e for _, e in gp.factors]
-    candidates = prod(
-        p ** min(ei, ej) for ei in exps for ej in exps
-    )
-    if candidates <= _CANDIDATE_LIMIT:
-        return _tables_by_candidates(gp, p, exps)
-    return _tables_by_closure(gp, p, exps, _aut_order_prime(p, exps))
 
 
 class AutGroup:
@@ -464,7 +413,7 @@ class AutGroup:
     columns of the tables, each row maps to a dense mixed-radix key (see
     `_image_codes`), and `index` maps every key to its member index, or -1
     for a legal-looking image tuple that is no automorphism.  The key space
-    is the number of candidate matrices.  For every group of order up to
+    is the number of legal matrices.  For every group of order up to
     256 whose |Aut| is within the default budget it is at most 12 times
     |Aut|, so the int32 index stays below 48 bytes per member: 2^25 entries
     (134 MB) for C2^5, 5^9 (8 MB) for C5^3.
@@ -567,65 +516,15 @@ class _MemberSeq(Sequence):
 def aut_group(group: AbelianGroup, budget: int | None = DEFAULT_AUT_BUDGET) -> AutGroup:
     """Construct Aut(G) completely, refusing when it would exceed the budget.
 
-    The group is built per prime component (candidate filtering for small
-    components, generator closure for large ones) and the components are
-    glued as a direct product.  The member count is checked against the
-    exact order formula.
+    The members are grown by breadth-first closure from the elementary
+    matrices of every prime component (identity on the other primes),
+    which are also the group's `gens`.  The closure must reach exactly
+    the order given by the formula.
     """
     expected = aut_group_order(group)
     if budget is not None and expected > budget:
         raise ResourceLimitError(group, expected, budget)
-
-    spans = group.prime_spans
-    if not spans:
-        tables = identity(group).table[None, :]
-        return AutGroup(group, tables, [0])
-
-    comp_groups = [
-        AbelianGroup(group.factors[i0:i1]) for (_, i0, i1) in spans
-    ]
-    comp_tables = [_component_tables(cg) for cg in comp_groups]
-
-    # direct product: member (a_1..a_r) acts independently on each component
-    dt = group.index_dtype
-    full = comp_tables[0].astype(dt, copy=False)
-    n_acc = comp_groups[0].order
-    for ct, cg in zip(comp_tables[1:], comp_groups[1:]):
-        np_ = cg.order
-        prev_count, new_count = len(full), len(ct)
-        out = np.empty((prev_count * new_count, n_acc * np_), dtype=dt)
-        ct = ct.astype(dt, copy=False)
-        chunk = max(1, (1 << 24) // max(1, new_count * n_acc * np_))
-        for lo in range(0, prev_count, chunk):
-            hi = min(lo + chunk, prev_count)
-            # values stay below the final group order, which fits the dtype
-            block = full[lo:hi, None, :, None] * np.array(np_, dtype=dt)
-            block = block + ct[None, :, None, :]
-            out[lo * new_count : hi * new_count] = block.reshape(
-                (hi - lo) * new_count, n_acc * np_
-            )
-        full = out
-        n_acc *= np_
-    tables = full
-    if len(tables) != expected:
-        raise AssertionError(
-            f"automorphism count mismatch for {group.descriptor}: "
-            f"{len(tables)} != {expected}"
-        )
-
-    aut = AutGroup(group, tables, [])
-    gens = []
-    for (p, i0, i1), cg in zip(spans, comp_groups):
-        for m in _elementary_matrices(p, [e for _, e in cg.factors]):
-            blocks = []
-            for q, j0, j1 in spans:
-                k = j1 - j0
-                if q == p:
-                    blocks.append(m)
-                else:
-                    blocks.append([[1 if a == b else 0 for b in range(k)] for a in range(k)])
-            gens.append(aut.index_of(Endomorphism(group, blocks)))
-    if not gens:
-        gens = [aut.identity_index]
-    aut.gens = sorted(set(gens))
+    gens = _generators(group)
+    aut = AutGroup(group, _tables_by_closure(group, [f.table for f in gens], expected), [])
+    aut.gens = sorted({aut.index_of(f) for f in gens}) or [aut.identity_index]
     return aut

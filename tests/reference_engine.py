@@ -5,15 +5,190 @@ object-level operations, so it is slow but easy to audit; the array
 engine must agree with it wherever both run.  Both medial routes are
 provided: filtering the commuting representatives out of the full pair
 loop, and re-running the inner loop over the centralizer only.
+
+The orbit routines below work on member indices and Endomorphism
+objects with plain breadth-first sweeps.  Large acting groups are first
+reduced to a small generating set, small ones are applied with full
+sweeps.
 """
 
+import numpy as np
+
+from centralq._engine import _inverse_perm
+from centralq.abelian import AbelianGroup, Subgroup
 from centralq.action import (
+    OrbitPartition,
+    _as_index,
     centralizer_indices,
     conjugacy_class_reps,
-    orbit_reps_conjugation,
-    orbit_reps_on_cosets,
 )
-from centralq.endo import aut_group, one_minus
+from centralq.endo import AutGroup, Endomorphism, aut_group, one_minus
+
+_FULL_SWEEP_LIMIT = 1024
+
+
+def _closure_indices(A: AutGroup, gens: list[int]) -> set[int]:
+    seen = {A.identity_index}
+    frontier = [A.identity_index]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = A.compose_indices(g, x)
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return seen
+
+
+def _greedy_generators(A: AutGroup, members: list[int]) -> list[int]:
+    """Generators for a subgroup given as an element list, added greedily."""
+    gens: list[int] = []
+    closure = {A.identity_index}
+    for h in members:
+        if h not in closure:
+            gens.append(h)
+            closure = _closure_indices(A, gens)
+    if len(closure) != len(members):
+        raise ValueError("member list is not closed under composition")
+    return gens
+
+
+def orbit_reps_conjugation(A: AutGroup, H, S) -> OrbitPartition:
+    """Orbits of S under s -> h s h^-1 for h in the subgroup H.
+
+    H and S are given as members (or member indices) of the ambient group
+    A; points of the partition are ambient indices.  Leaving S during an
+    orbit closure means S was not closed under the action and is an error.
+    """
+    h_idx = [_as_index(A, h) for h in H]
+    s_idx = sorted({_as_index(A, s) for s in S})
+    s_set = set(s_idx)
+
+    tab = A.tables
+
+    def conj_all(s: int, hs: list[int], hinvs: list[np.ndarray]) -> list[int]:
+        row = tab[s]
+        return [
+            int(A.index_of_table(tab[h][row[hinv]]))
+            for h, hinv in zip(hs, hinvs)
+        ]
+
+    if len(h_idx) > _FULL_SWEEP_LIMIT:
+        gens = _greedy_generators(A, h_idx)
+    else:
+        gens = h_idx
+    ginvs = [_inverse_perm(tab[g].astype(np.int64)) for g in gens]
+
+    orbit_of: dict[int, int] = {}
+    representatives: list[int] = []
+    orbit_sizes: dict[int, int] = {}
+    for s in s_idx:
+        if s in orbit_of:
+            continue
+        representatives.append(s)
+        frontier = [s]
+        orbit_of[s] = s
+        size = 1
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for y in conj_all(x, gens, ginvs):
+                    if y not in orbit_of:
+                        if y not in s_set:
+                            raise ValueError(
+                                "S is not closed under conjugation by H "
+                                f"(member {y} escaped)"
+                            )
+                        orbit_of[y] = s
+                        size += 1
+                        nxt.append(y)
+            frontier = nxt
+        orbit_sizes[s] = size
+    return OrbitPartition(representatives, orbit_of, orbit_sizes)
+
+
+def orbit_reps_on_cosets(H, group: AbelianGroup, U: Subgroup) -> OrbitPartition:
+    """Orbits of the induced action of H on the cosets of U.
+
+    H is a list of automorphisms of the group, each of which must map U
+    into U (that makes the action on cosets well defined); points are the
+    index-minimal coset representatives.
+    """
+    if U.group != group:
+        raise ValueError("subgroup belongs to a different group")
+    n = group.order
+    u_idx = np.asarray(sorted(U.indices), dtype=np.int64)
+    add = np.asarray(group.add_table, dtype=np.int64)
+
+    canon = np.full(n, -1, dtype=np.int64)
+    reps = []
+    for x in range(n):
+        if canon[x] < 0:
+            reps.append(x)
+            canon[add[x, u_idx]] = x
+
+    h_list = list(H)
+    for h in h_list:
+        if not isinstance(h, Endomorphism) or h.group != group:
+            raise ValueError("H must consist of automorphisms of the group")
+        htab = h.table.astype(np.int64)
+        if not set(int(v) for v in htab[u_idx]) <= U.indices:
+            raise ValueError("an acting automorphism does not preserve the subgroup")
+        if not np.array_equal(canon[htab], canon[htab[canon]]):
+            raise RuntimeError(
+                "internal invariant violated: coset action is not well defined"
+            )
+
+    if len(h_list) > _FULL_SWEEP_LIMIT:
+        acting = _reduce_endo_generators(h_list)
+    else:
+        acting = h_list
+    act_tabs = [h.table.astype(np.int64) for h in acting]
+
+    orbit_of: dict[int, int] = {}
+    representatives: list[int] = []
+    orbit_sizes: dict[int, int] = {}
+    for r in reps:
+        if r in orbit_of:
+            continue
+        representatives.append(r)
+        orbit_of[r] = r
+        frontier = [r]
+        size = 1
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for tabh in act_tabs:
+                    y = int(canon[tabh[x]])
+                    if y not in orbit_of:
+                        orbit_of[y] = r
+                        size += 1
+                        nxt.append(y)
+            frontier = nxt
+        orbit_sizes[r] = size
+    return OrbitPartition(representatives, orbit_of, orbit_sizes)
+
+
+def _reduce_endo_generators(h_list: list[Endomorphism]) -> list[Endomorphism]:
+    gens: list[Endomorphism] = []
+    closure = None
+    for h in h_list:
+        if closure is None or h not in closure:
+            gens.append(h)
+            closure = set(gens)
+            frontier = list(gens)
+            while frontier:
+                nxt = []
+                for x in frontier:
+                    for g in gens:
+                        y = g.compose(x)
+                        if y not in closure:
+                            closure.add(y)
+                            nxt.append(y)
+                frontier = nxt
+    return gens
 
 
 def reference_counts(group, budget=None):

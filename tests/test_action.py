@@ -10,12 +10,14 @@ from centralq.action import (
     centralizer_indices,
     conjugacy_class_reps,
     direct_pair_orbit_count,
-    orbit_reps_conjugation,
-    orbit_reps_on_cosets,
 )
 from centralq.endo import aut_group, identity, scalar_endo
 
-from reference_engine import pair_orbit_count_bruteforce
+from reference_engine import (
+    orbit_reps_conjugation,
+    orbit_reps_on_cosets,
+    pair_orbit_count_bruteforce,
+)
 
 
 @pytest.mark.parametrize(
