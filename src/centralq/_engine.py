@@ -23,6 +23,7 @@ step builds a member x element array.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import multiprocessing
 import os
@@ -39,7 +40,7 @@ log = logging.getLogger(__name__)
 
 # bumped whenever a change could alter computed counts; cached reports
 # written by another engine version are ignored
-ENGINE_VERSION = 2
+ENGINE_VERSION = 3
 
 _CHUNK_ROWS = 1 << 19
 _MAX_GENERATOR_TRIES = 64
@@ -51,17 +52,22 @@ def _inverse_perm(p: np.ndarray) -> np.ndarray:
     return inv
 
 
-def _orbit_min_labels(perms: list[np.ndarray], count: int) -> np.ndarray:
+def _orbit_min_labels(gens: list[np.ndarray], count: int) -> np.ndarray:
     """Label every point with the minimal point of its orbit.
 
-    perms are permutations of range(count) whose group generates the
-    action; convergence is guaranteed because orbits are strongly
-    connected under a permutation group.
+    gens are permutations of range(count) generating the action.  Each
+    round pulls labels along every generator and its inverse, then jumps
+    pointers twice.  Pulling along the generators alone reaches the same
+    labels, but only one step per round against their direction: on a
+    single cycle numbered in increasing order along its generator that is
+    one round per point (200 000 rounds for 200 000 points, against 10
+    with the inverses), so the inverses stay.
     """
     dtype = np.int32 if count <= np.iinfo(np.int32).max else np.int64
     labels = np.arange(count, dtype=dtype)
-    if not perms or count == 0:
+    if not gens or count == 0:
         return labels
+    perms = [q for p in gens for q in (p, _inverse_perm(p))]
     while True:
         prev = labels.copy()
         for p in perms:
@@ -269,12 +275,7 @@ class EngineContext:
         return out
 
     def conjugacy_class_labels(self) -> np.ndarray:
-        perms = []
-        for g in self.agens:
-            p = self.conj_perm(g)
-            perms.append(p)
-            perms.append(_inverse_perm(p))
-        return _orbit_min_labels(perms, self.N)
+        return _orbit_min_labels([self.conj_perm(g) for g in self.agens], self.N)
 
 
 # ---------------------------------------------------------------------------
@@ -353,22 +354,14 @@ def process_class(ctx: EngineContext, f: int, collect: bool = False) -> ClassRes
     pool = np.flatnonzero(commuting)
     cgens = ctx.find_generators(pool if c_size != N else None, c_size, f"class {f}")
 
-    # member-space orbits of the centralizer acting by conjugation
     mperms = [ctx.conj_perm(h) for h in cgens]
     # every generator must fix f's conjugacy behaviour: h f h^-1 == f
     for p in mperms:
         if p[f] != f:
             raise AssertionError("generator does not centralize the representative")
-    all_mperms = []
-    for p in mperms:
-        all_mperms.append(p)
-        all_mperms.append(_inverse_perm(p))
-    ylabels = _orbit_min_labels(all_mperms, N)
-    yroots = ylabels == np.arange(N, dtype=ylabels.dtype)
-    pair_orbits = int(np.count_nonzero(yroots))
-    commuting_pair_orbits = int(np.count_nonzero(yroots & commuting))
 
-    # pair space: (member m, coset of Im(x - f(x) - m(x)))
+    # pair space: (member m, coset of Im(x - f(x) - m(x))), numbered member
+    # by member as base[m] + j
     sgid, family, cidx, counts, reps = _coset_data(ctx, f)
     cnt_m = counts[sgid]
     base = np.zeros(N + 1, dtype=np.int64)
@@ -398,11 +391,9 @@ def process_class(ctx: EngineContext, f: int, collect: bool = False) -> ClassRes
         m2 = mp[m_of_point]
         r2 = htab[r_of_point]
         j2 = cidx[sg2[m_of_point], r2]
-        p = (base[m2] + j2).astype(pt_dtype)
-        pperms.append(p)
-        pperms.append(_inverse_perm(p))
-        del m2, r2, j2, p
-    del mperms, all_mperms
+        pperms.append((base[m2] + j2).astype(pt_dtype))
+        del m2, r2, j2
+    del mperms
 
     labels = _orbit_min_labels(pperms, total)
     del pperms
@@ -411,6 +402,13 @@ def process_class(ctx: EngineContext, f: int, collect: bool = False) -> ClassRes
     root_members = m_of_point[root_idx].astype(np.int64)
     medial_mask = commuting[root_members]
     mq = int(np.count_nonzero(medial_mask))
+    # a pair orbit covers the C(f)-orbit of its members, every member has a
+    # coset, and points grow with m, so each orbit's root lies over the
+    # smallest member of that C(f)-orbit: the distinct root members are
+    # exactly the C(f)-orbits of members (commuting is C(f)-invariant)
+    orbit_members = np.unique(root_members)
+    pair_orbits = len(orbit_members)
+    commuting_pair_orbits = int(np.count_nonzero(commuting[orbit_members]))
 
     triples = []
     if collect:
@@ -433,6 +431,7 @@ def process_class(ctx: EngineContext, f: int, collect: bool = False) -> ClassRes
 # ---------------------------------------------------------------------------
 # group-level driver, optionally parallel over conjugacy representatives
 
+# the enumeration in progress; forked pool workers inherit it
 _WORKER_CTX: EngineContext | None = None
 _WORKER_COLLECT = False
 
@@ -465,28 +464,29 @@ def enumerate_counts(
     del class_labels
     log.info("%s: |Aut|=%d, %d conjugacy classes", group.descriptor, ctx.N, len(class_reps))
 
+    global _WORKER_CTX, _WORKER_COLLECT
+    _WORKER_CTX = ctx
+    _WORKER_COLLECT = collect
     results: list[ClassResult] = []
-    if jobs > 1 and len(class_reps) > 1 and hasattr(os, "fork"):
-        global _WORKER_CTX, _WORKER_COLLECT
-        _WORKER_CTX = ctx
-        _WORKER_COLLECT = collect
-        try:
-            mp = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(max_workers=jobs, mp_context=mp) as ex:
-                results = list(ex.map(_run_class, class_reps, chunksize=1))
-        finally:
-            _WORKER_CTX = None
-            _WORKER_COLLECT = False
-    else:
-        for i, f in enumerate(class_reps):
-            results.append(process_class(ctx, f, collect))
-            log.debug(
-                "%s: class %d/%d done (cq so far %d)",
-                group.descriptor,
-                i + 1,
-                len(class_reps),
-                sum(r.cq for r in results),
-            )
+    try:
+        with contextlib.ExitStack() as stack:
+            mapped = map(_run_class, class_reps)
+            if jobs > 1 and len(class_reps) > 1 and hasattr(os, "fork"):
+                mp = multiprocessing.get_context("fork")
+                ex = stack.enter_context(ProcessPoolExecutor(max_workers=jobs, mp_context=mp))
+                mapped = ex.map(_run_class, class_reps, chunksize=1)
+            for res in mapped:
+                results.append(res)
+                log.debug(
+                    "%s: class %d/%d done (cq so far %d)",
+                    group.descriptor,
+                    len(results),
+                    len(class_reps),
+                    sum(r.cq for r in results),
+                )
+    finally:
+        _WORKER_CTX = None
+        _WORKER_COLLECT = False
 
     pair_orbits = sum(r.pair_orbits for r in results)
     # Burnside: Aut(G) acting on pairs by simultaneous conjugation has

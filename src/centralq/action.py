@@ -13,7 +13,7 @@ from typing import Mapping
 
 import numpy as np
 
-from ._engine import EngineContext, _inverse_perm, _orbit_min_labels
+from ._engine import EngineContext, _orbit_min_labels
 from .endo import AutGroup, Endomorphism
 
 
@@ -77,8 +77,6 @@ def direct_pair_orbit_count(A: AutGroup, cap: int = 4096) -> int:
     perms = []
     for g in ctx.agens:
         p = ctx.conj_perm(g)
-        pair = (p[:, None] * size + p[None, :]).reshape(-1)
-        perms.append(pair)
-        perms.append(_inverse_perm(pair))
+        perms.append((p[:, None] * size + p[None, :]).reshape(-1))
     labels = _orbit_min_labels(perms, size * size)
     return int(np.count_nonzero(labels == np.arange(size * size, dtype=labels.dtype)))

@@ -1,18 +1,21 @@
-"""The engine's subgroup registry and coset data against brute-force oracles."""
+"""The engine's subgroups, cosets, orbit labels and class counts against oracles."""
 
 import dataclasses
 import hashlib
+import logging
 import random
 
 import numpy as np
 import pytest
 
 from centralq import _engine
-from centralq._engine import EngineContext, _coset_data, enumerate_counts
+from centralq._engine import EngineContext, _coset_data, _orbit_min_labels, enumerate_counts
 from centralq.abelian import parse_group
-from centralq.action import conjugacy_class_reps
+from centralq.action import centralizer_indices, conjugacy_class_reps
 from centralq.counting import classify_representatives
 from centralq.endo import aut_group, one_minus
+
+from reference_engine import orbit_reps_conjugation
 
 
 def _cases(desc):
@@ -102,3 +105,45 @@ def test_burnside_identity_is_checked(monkeypatch):
     monkeypatch.setattr(_engine, "process_class", off_by_one)
     with pytest.raises(AssertionError, match="centralizer orders"):
         enumerate_counts(g, aut_group(g))
+
+
+def test_progress_is_logged_per_class_in_the_pool(caplog):
+    g = parse_group("C3xC3")
+    caplog.set_level(logging.DEBUG, logger=_engine.__name__)
+    k = enumerate_counts(g, aut_group(g), jobs=2).conj_classes
+    done = [r.args[1:3] for r in caplog.records if " done (cq so far " in r.msg]
+    assert k > 1
+    assert done == [(i, k) for i in range(1, k + 1)]
+
+
+@pytest.mark.parametrize("desc", ["C2^3", "C3xC3", "C4xC4", "C4xC2xC2", "C4xC2xC3"])
+def test_per_class_pair_orbits_match_the_oracle(desc):
+    g = parse_group(desc)
+    A = aut_group(g)
+    for res in enumerate_counts(g, A).class_results:
+        cent = centralizer_indices(A, res.rep)
+        part = orbit_reps_conjugation(A, cent, range(len(A)))
+        assert res.pair_orbits == len(part)
+        commuting = set(cent.tolist())
+        assert res.commuting_pair_orbits == sum(r in commuting for r in part.representatives)
+
+
+def test_orbit_labels_follow_inverses(monkeypatch):
+    # one cycle numbered in increasing order along its permutation: pulling
+    # labels along the permutation alone moves label 0 one point per round
+    count = 100_000
+    cycle = np.roll(np.arange(count), -1)
+    rounds = 0
+    real = np.array_equal
+
+    def counting(a, b):
+        nonlocal rounds
+        rounds += 1
+        if rounds > 64:
+            raise AssertionError("label propagation took more than 64 rounds")
+        return real(a, b)
+
+    monkeypatch.setattr(np, "array_equal", counting)
+    labels = _orbit_min_labels([cycle], count)
+    assert not labels.any()
+    assert rounds <= 64
