@@ -14,11 +14,13 @@ medial count.
 
 The image of x - f(x) - m(x) is a homomorphic image, so it is spanned by
 the values on the rank canonical generators, read from the members'
-generator columns.  A per-group SubgroupRegistry numbers the subgroups
-met so far, keeps each one's cosets (found once per subgroup), and fills
-a join table join[s, x] = id of S + <x> on demand; every member's image
-subgroup is then rank gathers away from the trivial subgroup, and no
-step builds a member x element array.
+generator columns.  A per-group SubgroupRegistry, built with the
+context, is the only place subgroups are identified: it numbers the
+subgroups met so far, keeps each one's cosets (found once per subgroup),
+and fills a join table join[s, x] = id of S + <x> on demand.  Every
+member's image subgroup is then rank gathers away from the trivial
+subgroup, the class loop reads cosets by registry id, and no step
+builds a member x element array.
 """
 
 from __future__ import annotations
@@ -79,64 +81,82 @@ def _orbit_min_labels(gens: list[np.ndarray], count: int) -> np.ndarray:
 
 
 class SubgroupRegistry:
-    """The subgroups of one group met so far, with their cosets and joins.
+    """The one owner of subgroup identity: the subgroups of a group met so far.
 
-    Subgroup ids are dense and stable; id 0 is the trivial subgroup.  Each
-    subgroup is keyed by its packed element mask and stores that mask,
-    its coset representatives (the smallest element of each coset, in
-    ascending order) and a `cidx` row mapping every element to the ordinal
-    of its coset.  `join[s, x]` is the id of S + <x>, or -1 until filled.
+    Subgroup ids are dense and stable; id 0 is the trivial subgroup, and
+    the rest of the engine names a subgroup by its id alone.  Per subgroup
+    the registry stores a `cidx` row mapping every element to the ordinal
+    of its coset (cosets ordered by their smallest element, so the
+    subgroup itself is coset 0 and its members are `cidx == 0`), the coset
+    count, and the ascending coset representatives, padded to n.
+    `join[s, x]` is the id of S + <x>, or -1 until filled.  `ids_of` maps
+    element masks back to ids; its packed mask bytes are the registry's
+    private key.
     """
 
     def __init__(self, group: AbelianGroup):
         self.n = group.order
         self.add = np.asarray(group.add_table)
         self.sub = np.asarray(group.sub_table)
-        self.keys: list[bytes] = []
-        self.reps: list[np.ndarray] = []
         self._ids: dict[bytes, int] = {}
-        self._masks = np.zeros((0, self.n), dtype=bool)
         self._cidx = np.zeros((0, self.n), dtype=np.int64)
+        self._counts = np.zeros(0, dtype=np.int64)
+        self._reps = np.zeros((0, self.n), dtype=group.index_dtype)
         self._join = np.zeros((0, self.n), dtype=np.int32)
-        trivial = np.zeros(self.n, dtype=bool)
-        trivial[0] = True
-        self._register(trivial, np.packbits(trivial).tobytes())
+        trivial = np.arange(self.n) == 0
+        self._register(trivial, self._keys(trivial[None])[0])
 
     def __len__(self):
-        return len(self.keys)
-
-    @property
-    def masks(self) -> np.ndarray:
-        return self._masks[: len(self)]
+        return len(self._ids)
 
     @property
     def cidx(self) -> np.ndarray:
         return self._cidx[: len(self)]
 
     @property
+    def counts(self) -> np.ndarray:
+        return self._counts[: len(self)]
+
+    @property
+    def reps(self) -> np.ndarray:
+        return self._reps[: len(self)]
+
+    @property
+    def masks(self) -> np.ndarray:
+        return self.cidx == 0
+
+    @property
     def join_table(self) -> np.ndarray:
         return self._join[: len(self)]
+
+    @staticmethod
+    def _keys(masks: np.ndarray) -> list[bytes]:
+        return [k.tobytes() for k in np.packbits(masks, axis=1)]
+
+    def ids_of(self, masks: np.ndarray) -> np.ndarray:
+        """Ids of the subgroups with these (rows, n) element masks; -1 where unknown."""
+        return np.asarray([self._ids.get(k, -1) for k in self._keys(masks)], dtype=np.int64)
 
     def _register(self, mask: np.ndarray, key: bytes) -> int:
         sid = self._ids.get(key)
         if sid is not None:
             return sid
-        sid = len(self.keys)
-        if sid == len(self._masks):
+        sid = len(self)
+        if sid == len(self._cidx):
             extra = max(16, sid)
-            self._masks = np.pad(self._masks, ((0, extra), (0, 0)))
             self._cidx = np.pad(self._cidx, ((0, extra), (0, 0)))
+            self._counts = np.pad(self._counts, (0, extra))
+            self._reps = np.pad(self._reps, ((0, extra), (0, 0)))
             self._join = np.pad(self._join, ((0, extra), (0, 0)), constant_values=-1)
         elems = np.flatnonzero(mask)
         canon = self.add[:, elems].min(axis=1)  # smallest element of each coset
         reps = np.flatnonzero(canon == np.arange(self.n))
         ordinal = np.empty(self.n, dtype=np.int64)
         ordinal[reps] = np.arange(len(reps))
-        self._masks[sid] = mask
         self._cidx[sid] = ordinal[canon]
+        self._counts[sid] = len(reps)
+        self._reps[sid, : len(reps)] = reps
         self._join[sid, elems] = sid
-        self.keys.append(key)
-        self.reps.append(reps)
         self._ids[key] = sid
         return sid
 
@@ -153,7 +173,7 @@ class SubgroupRegistry:
     def _fill(self, sids: np.ndarray, xs: np.ndarray) -> None:
         # S + <x> by doubling: after k rounds a row holds S + {0..2^k - 1}x,
         # and once adding y = 2^k x changes nothing the row is a subgroup
-        masks = self._masks[sids]
+        masks = self._cidx[sids] == 0
         y = xs
         while True:
             grown = masks | np.take_along_axis(masks, self.sub[:, y].T, axis=1)
@@ -161,8 +181,7 @@ class SubgroupRegistry:
                 break
             masks = grown
             y = self.add[y, y]
-        packed = np.packbits(masks, axis=1)
-        ids = [self._register(m, p.tobytes()) for m, p in zip(masks, packed)]
+        ids = [self._register(m, k) for m, k in zip(masks, self._keys(masks))]
         self._join[sids, xs] = ids
 
 
@@ -172,15 +191,13 @@ class EngineContext:
     def __init__(self, group: AbelianGroup, aut: AutGroup):
         self.group = group
         self.aut = aut
-        self.n = group.order
         self.N = len(aut)
         self.tables = aut.tables
         self.images = aut.images
         self.gen_pos = aut.gen_pos
-        self.sub = np.asarray(group.sub_table)
         self.seed_base = f"enumeration:{group.descriptor}"
+        self.subgroups = SubgroupRegistry(group)
         self._agens: list[int] | None = None
-        self._subgroups: SubgroupRegistry | None = None
 
     # -- member-space primitives -------------------------------------------
 
@@ -191,7 +208,7 @@ class EngineContext:
         """Member permutation m -> h m h^-1, found from generator images alone."""
         tab = self.tables
         htab = tab[h]
-        cols = self.inverse_table(h)[self.gen_pos]
+        cols = _inverse_perm(htab)[self.gen_pos]
         out = np.empty(self.N, dtype=np.int64)
         for lo in range(0, self.N, _CHUNK_ROWS):
             hi = min(lo + _CHUNK_ROWS, self.N)
@@ -221,18 +238,15 @@ class EngineContext:
             frontier = np.concatenate(new) if new else np.empty(0, np.int64)
         return mask, size
 
-    def find_generators(self, pool: np.ndarray | None, expected: int, seed: str) -> list[int]:
+    def find_generators(self, pool: np.ndarray, expected: int, seed: str) -> list[int]:
         """A small generating set for a subgroup given by its member list.
 
-        pool is the sorted member-index list (None means the whole group,
-        whose generators are cached as `agens`); random members outside the
+        pool is the sorted member-index list; random members outside the
         current closure are added until it has the expected size.  Each
         addition at least doubles the closure, so 64 tries cover any group.
         """
         if expected == 1:
             return [self.aut.identity_index]
-        if pool is None:
-            return list(self.agens)
         rng = random.Random(f"{self.seed_base}:{seed}")
         gens: list[int] = []
         mask = np.zeros(self.N, dtype=bool)
@@ -255,13 +269,6 @@ class EngineContext:
         if self._agens is None:
             self._agens = self.find_generators(np.arange(self.N), self.N, "whole-group")
         return self._agens
-
-    @property
-    def subgroups(self) -> SubgroupRegistry:
-        """The group's subgroup registry, filled as classes meet new subgroups."""
-        if self._subgroups is None:
-            self._subgroups = SubgroupRegistry(self.group)
-        return self._subgroups
 
     def centralizer_mask(self, f: int) -> np.ndarray:
         """Members m with f m == m f, compared on the generator images."""
@@ -294,65 +301,58 @@ class ClassResult:
     triples: list[tuple[int, int, bool]] = field(default_factory=list)
 
 
-def _coset_data(ctx: EngineContext, f: int):
-    """Image subgroups of x - f(x) - m(x) for every member m, with cosets.
+def _coset_data(ctx: EngineContext, f: int) -> np.ndarray:
+    """Registry id of the image subgroup of x - f(x) - m(x), for every member m.
 
     The map is a homomorphism, so its image is spanned by its values on
     the rank canonical generators, t[m] = (g - f(g) - m(g) for each g).
     Every member's image is built one generator at a time through the
     registry's join table, s <- join[s, t[:, i]], starting from the
     trivial subgroup: rank gathers over the members and no member x
-    element array.  The subgroups met (the class's family) are renumbered
-    densely for the class.
-
-    Returns (sgid, family, cidx, counts, reps): the class-local subgroup
-    id of every member, the registry ids of the family, and per family
-    subgroup its element -> coset ordinal row, coset count and ascending
-    coset representatives.
+    element array.  The cosets of each subgroup are read from the
+    registry by id.
     """
     reg = ctx.subgroups
     gp = ctx.gen_pos
-    d1 = ctx.sub[gp, ctx.tables[f][gp]]  # g - f(g) per canonical generator g
-    t = ctx.sub[d1, ctx.images]  # (N, rank): g - f(g) - m(g)
+    d1 = reg.sub[gp, ctx.tables[f][gp]]  # g - f(g) per canonical generator g
+    t = reg.sub[d1, ctx.images]  # (N, rank): g - f(g) - m(g)
     s = np.zeros(ctx.N, dtype=np.int32)
     for i in range(t.shape[1]):
         s = reg.join(s, t[:, i])
-    present = np.zeros(len(reg), dtype=bool)
-    present[s] = True
-    family = np.flatnonzero(present)
-    local = np.cumsum(present, dtype=np.int32) - 1
-    reps = [reg.reps[k] for k in family]
-    counts = np.asarray([len(r) for r in reps], dtype=np.int64)
-    return local[s], family, reg.cidx[family], counts, reps
+    return s
 
 
 def _transport_table(ctx: EngineContext, family: np.ndarray, h: int) -> np.ndarray:
-    """Class-local subgroup id -> class-local id of its image under member h."""
+    """Registry id -> id of its image under member h, over the class's family.
+
+    family is the sorted registry ids of the class's image subgroups; other
+    ids map to -1.
+    """
     reg = ctx.subgroups
-    lookup = {reg.keys[k]: j for j, k in enumerate(family)}
-    # x lies in h(S) exactly when h^-1(x) lies in S
-    images = np.packbits(reg.masks[family][:, ctx.inverse_table(h)], axis=1)
-    out = np.empty(len(family), dtype=np.int32)
-    for j, key in enumerate(images):
-        sid = lookup.get(key.tobytes())
-        if sid is None:
-            raise RuntimeError(
-                "internal invariant violated: image subgroup escaped the family "
-                "(the induced coset action would be ill-defined)"
-            )
-        out[j] = sid
+    # x lies in h(S) exactly when h^-1(x) lies in S, i.e. in coset 0
+    images = reg.ids_of(reg.cidx[family][:, ctx.inverse_table(h)] == 0)
+    if not np.isin(images, family).all():
+        raise RuntimeError(
+            "internal invariant violated: image subgroup escaped the family "
+            "(the induced coset action would be ill-defined)"
+        )
+    out = np.full(len(reg), -1, dtype=np.int32)
+    out[family] = images
     return out
 
 
 def process_class(ctx: EngineContext, f: int, collect: bool = False) -> ClassResult:
     """All counts contributed by one conjugacy representative f."""
     N = ctx.N
+    reg = ctx.subgroups
     commuting = ctx.centralizer_mask(f)
     c_size = int(np.count_nonzero(commuting))
     if N % c_size:
         raise AssertionError("centralizer size does not divide the group order")
-    pool = np.flatnonzero(commuting)
-    cgens = ctx.find_generators(pool if c_size != N else None, c_size, f"class {f}")
+    if c_size == N:
+        cgens = ctx.agens
+    else:
+        cgens = ctx.find_generators(np.flatnonzero(commuting), c_size, f"class {f}")
 
     mperms = [ctx.conj_perm(h) for h in cgens]
     # every generator must fix f's conjugacy behaviour: h f h^-1 == f
@@ -362,35 +362,33 @@ def process_class(ctx: EngineContext, f: int, collect: bool = False) -> ClassRes
 
     # pair space: (member m, coset of Im(x - f(x) - m(x))), numbered member
     # by member as base[m] + j
-    sgid, family, cidx, counts, reps = _coset_data(ctx, f)
-    cnt_m = counts[sgid]
+    s = _coset_data(ctx, f)
+    cnt_m = reg.counts[s]
     base = np.zeros(N + 1, dtype=np.int64)
     np.cumsum(cnt_m, out=base[1:])
     total = int(base[N])
     pt_dtype = np.int32 if total <= np.iinfo(np.int32).max else np.int64
     m_of_point = np.repeat(np.arange(N, dtype=pt_dtype), cnt_m)
     j_of_point = np.arange(total, dtype=np.int64) - base[m_of_point]
-    reps_off = np.zeros(len(reps) + 1, dtype=np.int64)
-    np.cumsum(counts, out=reps_off[1:])
-    reps_flat = np.concatenate(reps) if reps else np.empty(0, np.int64)
-    r_of_point = reps_flat[reps_off[sgid[m_of_point]] + j_of_point].astype(
-        ctx.group.index_dtype
-    )
+    r_of_point = reg.reps[s[m_of_point], j_of_point]
     del j_of_point
+    present = np.zeros(len(reg), dtype=bool)
+    present[s] = True
+    family = np.flatnonzero(present)
 
     pperms = []
     for h, mp in zip(cgens, mperms):
         htab = ctx.tables[h]
         transport = _transport_table(ctx, family, h)
-        sg2 = sgid[mp]
-        if not np.array_equal(sg2, transport[sgid]):
+        s2 = s[mp]
+        if not np.array_equal(s2, transport[s]):
             raise RuntimeError(
                 "internal invariant violated: conjugation moved an image subgroup "
                 "inconsistently with the member permutation"
             )
         m2 = mp[m_of_point]
         r2 = htab[r_of_point]
-        j2 = cidx[sg2[m_of_point], r2]
+        j2 = reg.cidx[s2[m_of_point], r2]
         pperms.append((base[m2] + j2).astype(pt_dtype))
         del m2, r2, j2
     del mperms

@@ -145,11 +145,6 @@ class AbelianGroup:
         self._check(a)
         return tuple(x % m for x, m in zip(a, self.moduli))
 
-    def contains(self, a) -> bool:
-        return len(a) == len(self.moduli) and all(
-            0 <= x < m for x, m in zip(a, self.moduli)
-        )
-
     # -- indexing ----------------------------------------------------------
 
     def elements(self):

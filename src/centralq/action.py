@@ -52,10 +52,7 @@ def conjugacy_class_reps(A: AutGroup) -> OrbitPartition:
 
 def centralizer(A: AutGroup, f) -> list[Endomorphism]:
     """All members commuting with f; f must belong to A."""
-    idx = _as_index(A, f)
-    ctx = EngineContext(A.group, A)
-    mask = ctx.centralizer_mask(idx)
-    return [A.member(int(i)) for i in np.flatnonzero(mask)]
+    return [A.member(int(i)) for i in centralizer_indices(A, f)]
 
 
 def centralizer_indices(A: AutGroup, f) -> np.ndarray:

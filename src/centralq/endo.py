@@ -419,7 +419,7 @@ class AutGroup:
     (134 MB) for C2^5, 5^9 (8 MB) for C5^3.
     """
 
-    def __init__(self, group: AbelianGroup, tables: np.ndarray, gens: list[int]):
+    def __init__(self, group: AbelianGroup, tables: np.ndarray):
         self.group = group
         self.tables = tables
         self.tables.setflags(write=False)
@@ -433,7 +433,6 @@ class AutGroup:
         if not np.array_equal(self.index[keys], np.arange(len(tables))):
             raise AssertionError("duplicate members in automorphism group")
         self.index.setflags(write=False)
-        self.gens = gens
         self.identity_index = self.index_of_table(identity(group).table)
 
     def __len__(self):
@@ -517,14 +516,13 @@ def aut_group(group: AbelianGroup, budget: int | None = DEFAULT_AUT_BUDGET) -> A
     """Construct Aut(G) completely, refusing when it would exceed the budget.
 
     The members are grown by breadth-first closure from the elementary
-    matrices of every prime component (identity on the other primes),
-    which are also the group's `gens`.  The closure must reach exactly
-    the order given by the formula.
+    matrices of every prime component (identity on the other primes).
+    The closure must reach exactly the order given by the formula.  The
+    group keeps no generating set of its own; the engine searches for a
+    small one (`EngineContext.agens`).
     """
     expected = aut_group_order(group)
     if budget is not None and expected > budget:
         raise ResourceLimitError(group, expected, budget)
-    gens = _generators(group)
-    aut = AutGroup(group, _tables_by_closure(group, [f.table for f in gens], expected), [])
-    aut.gens = sorted({aut.index_of(f) for f in gens}) or [aut.identity_index]
-    return aut
+    tables = _tables_by_closure(group, [f.table for f in _generators(group)], expected)
+    return AutGroup(group, tables)

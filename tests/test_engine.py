@@ -9,11 +9,17 @@ import numpy as np
 import pytest
 
 from centralq import _engine
-from centralq._engine import EngineContext, _coset_data, _orbit_min_labels, enumerate_counts
+from centralq._engine import (
+    EngineContext,
+    _coset_data,
+    _orbit_min_labels,
+    enumerate_counts,
+    process_class,
+)
 from centralq.abelian import parse_group
 from centralq.action import centralizer_indices, conjugacy_class_reps
 from centralq.counting import classify_representatives
-from centralq.endo import aut_group, one_minus
+from centralq.endo import aut_group, one_minus, scalar_endo
 
 from reference_engine import orbit_reps_conjugation
 
@@ -43,18 +49,18 @@ def test_member_subgroups_match_image_sets(desc):
     ctx, fs, ms = _cases(desc)
     g, A, reg = ctx.group, ctx.aut, ctx.subgroups
     for f in fs:
-        sgid, family, cidx, counts, reps = _coset_data(ctx, f)
+        sids = _coset_data(ctx, f)
         phi = A.member(f)
         for m in ms:
             image = one_minus(phi, A.member(m)).image()
-            sid = family[sgid[m]]
+            sid = sids[m]
             elems = np.flatnonzero(reg.masks[sid]).tolist()
             assert elems == sorted(image.indices)
             ordinals = _coset_ordinals(g, elems)
             assert reg.cidx[sid].tolist() == ordinals
-            assert cidx[sgid[m]].tolist() == ordinals
-            assert counts[sgid[m]] == g.order // len(elems)
-            assert reps[sgid[m]].tolist() == [ordinals.index(k) for k in range(counts[sgid[m]])]
+            count = reg.counts[sid]
+            assert count == g.order // len(elems)
+            assert reg.reps[sid, :count].tolist() == [ordinals.index(k) for k in range(count)]
 
 
 @pytest.mark.parametrize("desc", ["C2^3", "C4xC2xC3", "C4xC4xC2"])
@@ -70,6 +76,60 @@ def test_filled_joins_are_generated_subgroups(desc):
         gens = [g.element_at(int(e)) for e in np.flatnonzero(reg.masks[s])]
         want = g.subgroup_generated(gens + [g.element_at(int(x))])
         assert np.flatnonzero(reg.masks[join[s, x]]).tolist() == sorted(want.indices)
+
+
+@pytest.mark.parametrize("desc", ["C2^3", "C4xC2xC3", "C4xC4xC2"])
+def test_registry_maps_masks_to_ids(desc):
+    ctx, fs, _ = _cases(desc)
+    for f in fs:
+        _coset_data(ctx, f)
+    g, reg = ctx.group, ctx.subgroups
+    assert len(reg) > 1
+    assert reg.ids_of(reg.masks).tolist() == list(range(len(reg)))
+    # not subgroups: no identity, and two generators without their sum
+    no_zero = np.ones((1, g.order), dtype=bool)
+    no_zero[0, 0] = False
+    unclosed = np.zeros((1, g.order), dtype=bool)
+    unclosed[0, [0, g._strides[0], g._strides[1]]] = True
+    assert reg.ids_of(np.concatenate([no_zero, unclosed])).tolist() == [-1, -1]
+
+
+def _central_case():
+    """C3xC3 with f = -1: its family holds the trivial subgroup (m = 1 - f = 2)."""
+    g = parse_group("C3xC3")
+    A = aut_group(g)
+    return EngineContext(g, A), A.index_of(scalar_endo(g, 2))
+
+
+def test_transport_rejects_an_image_outside_the_family(monkeypatch):
+    ctx, f = _central_case()
+    assert 0 in _coset_data(ctx, f)
+    # swapping elements 0 and 1 sends the trivial subgroup to {1}
+    swap = np.arange(ctx.group.order)
+    swap[[0, 1]] = [1, 0]
+    monkeypatch.setattr(EngineContext, "inverse_table", lambda self, h: swap)
+    with pytest.raises(RuntimeError, match="escaped the family"):
+        process_class(ctx, f)
+
+
+def test_transport_must_follow_the_member_permutation(monkeypatch):
+    ctx, f = _central_case()
+    same = np.arange(ctx.group.order)
+    monkeypatch.setattr(EngineContext, "inverse_table", lambda self, h: same)
+    with pytest.raises(RuntimeError, match="moved an image subgroup inconsistently"):
+        process_class(ctx, f)
+
+
+def test_centralizer_generators_must_centralize(monkeypatch):
+    g = parse_group("C3xC3")
+    A = aut_group(g)
+    ctx = EngineContext(g, A)
+    reps = conjugacy_class_reps(A).representatives
+    f = next(r for r in reps if not ctx.centralizer_mask(r).all())
+    outsider = int(np.flatnonzero(~ctx.centralizer_mask(f))[0])
+    monkeypatch.setattr(EngineContext, "find_generators", lambda self, *args: [outsider])
+    with pytest.raises(AssertionError, match="does not centralize the representative"):
+        process_class(ctx, f)
 
 
 def _triples(desc):
