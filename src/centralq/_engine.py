@@ -6,11 +6,17 @@ and orbit partitions are computed by min-label propagation over
 permutation arrays (with pointer jumping), which stays fast for member
 counts in the millions.
 
-For one conjugacy representative f the enumeration counts orbits of the
-centralizer C of f acting on the set of pairs (member m, coset of the
-image of x - f(x) - m(x)); summed over representatives this yields the
-central count, and restricting to members commuting with f yields the
-medial count.
+The central count is the number of orbits of C(f) on the pairs
+(member psi, coset of Im(1 - f - psi)), summed over the conjugacy
+representatives f; restricting psi to C(f) gives the medial count.
+count_class gets these by Cauchy-Frobenius without building the pairs:
+the orbit counts are averages of fixed-point counts, and regrouped over
+orbits of commuting pairs (h, f) every term is one pass over G (central)
+plus one subgroup join chain per member of C(f) ∩ C(h) (medial), kept as
+exact numerators over |Aut|.  process_class builds the pair space of one
+representative and labels its orbits; it serves the explicit
+classification, which needs one point per orbit, and is the second route
+the tests compare the counts with.
 
 The image of x - f(x) - m(x) is a homomorphic image, so it is spanned by
 the values on the rank canonical generators, read from the members'
@@ -19,8 +25,8 @@ context, is the only place subgroups are identified: it numbers the
 subgroups met so far, keeps each one's cosets (found once per subgroup),
 and fills a join table join[s, x] = id of S + <x> on demand.  Every
 member's image subgroup is then rank gathers away from the trivial
-subgroup, the class loop reads cosets by registry id, and no step
-builds a member x element array.
+subgroup (or from Im(h - 1) in count_class), the class loop reads cosets
+by registry id, and no step builds a member x element array.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ log = logging.getLogger(__name__)
 
 # bumped whenever a change could alter computed counts; cached reports
 # written by another engine version are ignored
-ENGINE_VERSION = 3
+ENGINE_VERSION = 4
 
 _CHUNK_ROWS = 1 << 19
 _MAX_GENERATOR_TRIES = 64
@@ -198,6 +204,8 @@ class EngineContext:
         self.seed_base = f"enumeration:{group.descriptor}"
         self.subgroups = SubgroupRegistry(group)
         self._agens: list[int] | None = None
+        self._class_labels: np.ndarray | None = None
+        self._centralizers: dict[int, np.ndarray] = {}
 
     # -- member-space primitives -------------------------------------------
 
@@ -281,8 +289,23 @@ class EngineContext:
             out[lo:hi] = np.all(ftab[images[lo:hi]] == tab[lo:hi, cols], axis=1)
         return out
 
+    def centralizer_members(self, f: int) -> np.ndarray:
+        """Sorted member indices of C(f), kept per member for reuse in this process."""
+        members = self._centralizers.get(f)
+        if members is None:
+            members = np.flatnonzero(self.centralizer_mask(f)).astype(np.int32)
+            self._centralizers[f] = members
+        return members
+
     def conjugacy_class_labels(self) -> np.ndarray:
         return _orbit_min_labels([self.conj_perm(g) for g in self.agens], self.N)
+
+    @property
+    def class_labels(self) -> np.ndarray:
+        """Conjugacy class labels of Aut(G), computed once."""
+        if self._class_labels is None:
+            self._class_labels = self.conjugacy_class_labels()
+        return self._class_labels
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +365,11 @@ def _transport_table(ctx: EngineContext, family: np.ndarray, h: int) -> np.ndarr
 
 
 def process_class(ctx: EngineContext, f: int, collect: bool = False) -> ClassResult:
-    """All counts contributed by one conjugacy representative f."""
+    """All counts contributed by one conjugacy representative f, from its pair space.
+
+    With collect, also one (member, coset representative, medial) triple
+    per orbit.
+    """
     N = ctx.N
     reg = ctx.subgroups
     commuting = ctx.centralizer_mask(f)
@@ -426,6 +453,153 @@ def process_class(ctx: EngineContext, f: int, collect: bool = False) -> ClassRes
     )
 
 
+@dataclass
+class ClassTerms:
+    """The Cauchy-Frobenius terms of one conjugacy representative h.
+
+    Term i stands for the Aut-orbit of commuting pairs (h, reps[i]), where
+    reps runs over the conjugacy class representatives f of C(h), and
+    class_sizes[i] is the size of f's class in C(h).  fixed[i] counts the
+    pairs (psi, coset of Im(1 - f - psi)) that h fixes, and medial_fixed[i]
+    those with psi in C(f).
+    """
+
+    rep: int
+    centralizer_order: int
+    reps: list[int]
+    class_sizes: list[int]
+    fixed: list[int]
+    medial_fixed: list[int]
+
+    @property
+    def pair_orbits(self) -> int:
+        return sum(self.class_sizes)
+
+    @property
+    def commuting_pair_orbits(self) -> int:
+        return len(self.reps)
+
+    def numerators(self, order: int) -> tuple[int, int]:
+        """Sums of fixed and medial_fixed over |C(f) ∩ C(h)|, as numerators over order."""
+        # |C(f) ∩ C(h)| = |C(h)| / class size, which divides order = |Aut|
+        shares = [order // (self.centralizer_order // k) for k in self.class_sizes]
+        return (
+            sum(x * w for x, w in zip(self.fixed, shares)),
+            sum(x * w for x, w in zip(self.medial_fixed, shares)),
+        )
+
+
+def _local_conj_perms(
+    ctx: EngineContext, h: int, members: np.ndarray, cols_c: np.ndarray, cgens: list[int]
+) -> list[np.ndarray]:
+    """Conjugation by each generator on C(h), as permutations of local positions.
+
+    members is C(h) as sorted member indices and cols_c their tables
+    transposed (row x holds m(x) for every member m); g m g^-1 is found from
+    generator images as in conj_perm, over these members only.
+    """
+    h_pos = int(np.searchsorted(members, h))
+    perms = []
+    for g in cgens:
+        gtab = ctx.tables[g]
+        cols = _inverse_perm(gtab)[ctx.gen_pos]
+        glob = ctx.aut.lookup_images(gtab[cols_c[cols]].T)
+        # every generator must fix h's position: g h g^-1 == h, and then
+        # conjugation by g maps C(h) onto itself
+        if glob[h_pos] != h:
+            raise AssertionError("generator does not centralize the representative")
+        perms.append(np.searchsorted(members, glob))
+    return perms
+
+
+def count_class(ctx: EngineContext, h: int) -> ClassTerms:
+    """The cq and mq terms of one conjugacy representative h, by Cauchy-Frobenius.
+
+    Burnside's lemma counts the orbits of C(f) on the pairs
+    (psi, coset of S = Im(1 - f - psi)) as fixed points averaged over
+    C(f); regrouped over orbits of commuting pairs (h, f), h runs over the
+    conjugacy representatives and f over the class representatives of
+    C(h).  An h-fixed coset of S is one with (h - 1)c in S, so with
+    T = Im(h - 1) each psi in C(h) contributes [G : S + T] fixed points.
+    Counting the pairs (c, x) with (h - 1)c = (1 - f)x - psi(x) instead
+    gives, with O_x the C(h)-orbit of x in G,
+
+        Fix_f(h) = |ker(h - 1)| / n * sum_x |C(h)| / |O_x| * |((1 - f)x + T) ∩ O_x|,
+
+    one gather over G per f from a (coset of T) x (orbit) count table.
+    The medial term sums [G : S + T] over psi in C(f) ∩ C(h) through the
+    registry's join table, seeded at T.  No pair space is built.
+    """
+    N, n = ctx.N, ctx.group.order
+    reg = ctx.subgroups
+    tab, gp = ctx.tables, ctx.gen_pos
+    members = ctx.centralizer_members(h)
+    c_size = len(members)
+    if N % c_size:
+        raise AssertionError("centralizer size does not divide the group order")
+    central = c_size == N
+    if central:
+        cgens, labels = ctx.agens, ctx.class_labels
+    else:
+        cgens = ctx.find_generators(members, c_size, f"class {h}")
+        cols_c = np.ascontiguousarray(tab[members].T)  # row x: m(x) for m in C(h)
+        img_c = cols_c[gp]
+        labels = _orbit_min_labels(_local_conj_perms(ctx, h, members, cols_c, cgens), c_size)
+    roots = np.flatnonzero(labels == np.arange(c_size, dtype=labels.dtype))
+    sizes = np.bincount(labels, minlength=c_size)[roots]
+    if int(sizes.sum()) != c_size:
+        raise AssertionError("class sizes of the centralizer do not add up to its order")
+    fs = roots if central else members[roots]
+
+    # T = Im(h - 1), spanned by (h - 1)g over the canonical generators g
+    s = np.zeros(1, dtype=np.int32)
+    for x in reg.sub[tab[h][gp], gp]:
+        s = reg.join(s, np.asarray([x]))
+    t_h = int(s[0])
+    kernel = int(reg.counts[t_h])  # |ker(h - 1)| = [G : T]
+    coset = reg.cidx[t_h]
+    _, orbit, orbit_size = np.unique(
+        _orbit_min_labels([tab[g] for g in cgens], n), return_inverse=True, return_counts=True
+    )
+    table = np.zeros((kernel, len(orbit_size)), dtype=np.int64)
+    np.add.at(table, (coset, orbit), 1)
+    weight = c_size // orbit_size[orbit]  # |C(h)| / |O_x|
+    moved = reg.sub[np.arange(n), tab[fs]]  # (1 - f)x per term and x
+    fix = kernel * (table[coset[moved], orbit] * weight).sum(axis=1)
+
+    if (fix % n).any():
+        raise AssertionError("a fixed-point numerator is not divisible by n")
+    # medial: g - f(g) - psi(g) for every psi in C(f) ∩ C(h), term by term,
+    # as (rank, psi) arrays
+    moves = []
+    for f, size in zip(fs, sizes):
+        ftab = tab[f]
+        if central:
+            psi_images = ctx.images[ctx.centralizer_members(f)].T
+        else:
+            psi_images = img_c[:, np.all(ftab[img_c] == cols_c[ftab[gp]], axis=0)]
+        # |C(f) ∩ C(h)| scanned must match |C(h)| / |class of f|
+        if psi_images.shape[1] * size != c_size:
+            raise AssertionError("the scanned centralizer disagrees with the class size")
+        moves.append(reg.sub[reg.sub[gp, ftab[gp]][:, None], psi_images])
+    starts = np.cumsum([0] + [m.shape[1] for m in moves[:-1]])
+    t = np.concatenate(moves, axis=1)
+    del moves
+    s = np.full(t.shape[1], t_h, dtype=np.int32)
+    for row in t:
+        s = reg.join(s, row)
+    counts = reg.counts  # read after the joins, which may grow the registry
+    medial_fixed = np.add.reduceat(counts[s], starts)
+    return ClassTerms(
+        rep=h,
+        centralizer_order=c_size,
+        reps=fs.tolist(),
+        class_sizes=sizes.tolist(),
+        fixed=(fix // n).tolist(),
+        medial_fixed=medial_fixed.tolist(),
+    )
+
+
 # ---------------------------------------------------------------------------
 # group-level driver, optionally parallel over conjugacy representatives
 
@@ -434,8 +608,10 @@ _WORKER_CTX: EngineContext | None = None
 _WORKER_COLLECT = False
 
 
-def _run_class(f: int) -> ClassResult:
-    return process_class(_WORKER_CTX, f, _WORKER_COLLECT)
+def _run_class(f: int) -> ClassResult | ClassTerms:
+    if _WORKER_COLLECT:
+        return process_class(_WORKER_CTX, f, collect=True)
+    return count_class(_WORKER_CTX, f)
 
 
 @dataclass
@@ -446,7 +622,8 @@ class GroupCounts:
     cq: int
     mq: int
     class_reps: list[int]
-    class_results: list[ClassResult]
+    # ClassTerms per representative, or ClassResult with collect=True
+    class_results: list[ClassTerms] | list[ClassResult]
 
 
 def enumerate_counts(
@@ -455,17 +632,29 @@ def enumerate_counts(
     jobs: int = 1,
     collect: bool = False,
 ) -> GroupCounts:
+    """All six counts of one group, summed over its conjugacy representatives.
+
+    Each representative runs count_class; with collect=True it runs the
+    pair-space route, process_class, which also returns one triple per
+    isomorphism class.
+    """
     ctx = EngineContext(group, aut)
-    class_labels = ctx.conjugacy_class_labels()
+    class_labels = ctx.class_labels
     reps = np.flatnonzero(class_labels == np.arange(ctx.N, dtype=class_labels.dtype))
     class_reps = [int(r) for r in reps]
-    del class_labels
     log.info("%s: |Aut|=%d, %d conjugacy classes", group.descriptor, ctx.N, len(class_reps))
+
+    # count_class terms are numerators over |Aut|, process_class counts whole
+    den = 1 if collect else ctx.N
+
+    def cq_mq(res) -> tuple[int, int]:
+        return (res.cq, res.mq) if collect else res.numerators(ctx.N)
 
     global _WORKER_CTX, _WORKER_COLLECT
     _WORKER_CTX = ctx
     _WORKER_COLLECT = collect
-    results: list[ClassResult] = []
+    results = []
+    cq_num = mq_num = 0
     try:
         with contextlib.ExitStack() as stack:
             mapped = map(_run_class, class_reps)
@@ -475,12 +664,15 @@ def enumerate_counts(
                 mapped = ex.map(_run_class, class_reps, chunksize=1)
             for res in mapped:
                 results.append(res)
+                cq, mq = cq_mq(res)
+                cq_num += cq
+                mq_num += mq
                 log.debug(
                     "%s: class %d/%d done (cq so far %d)",
                     group.descriptor,
                     len(results),
                     len(class_reps),
-                    sum(r.cq for r in results),
+                    cq_num // den,
                 )
     finally:
         _WORKER_CTX = None
@@ -491,12 +683,14 @@ def enumerate_counts(
     # sum over classes of |C(f)| orbits
     if pair_orbits != sum(r.centralizer_order for r in results):
         raise AssertionError("pair orbits disagree with the sum of centralizer orders")
+    if cq_num % den or mq_num % den:
+        raise AssertionError("the class terms do not add up to whole counts over |Aut|")
     return GroupCounts(
         conj_classes=len(class_reps),
         pair_orbits=pair_orbits,
         commuting_pair_orbits=sum(r.commuting_pair_orbits for r in results),
-        cq=sum(r.cq for r in results),
-        mq=sum(r.mq for r in results),
+        cq=cq_num // den,
+        mq=mq_num // den,
         class_reps=class_reps,
         class_results=results,
     )

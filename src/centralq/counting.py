@@ -1,11 +1,13 @@
 """Counting central and medial quasigroups over finite abelian groups.
 
-The driver enumerates, for one carrier group, the isomorphism classes of
-operations x*y = phi(x) + psi(y) + c with phi, psi automorphisms: for
-every conjugacy representative phi of Aut(G), representatives psi of the
-centralizer action on Aut(G), and representatives c of the induced action
-on G modulo Im(1 - phi - psi).  cq counts all classes, mq the classes
-with commuting phi, psi.
+The isomorphism classes of operations x*y = phi(x) + psi(y) + c with
+phi, psi automorphisms of one carrier group are the orbits, for every
+conjugacy representative phi of Aut(G), of its centralizer on the pairs
+(psi, coset of Im(1 - phi - psi)).  cq counts all classes, mq the classes
+with commuting phi, psi.  enumerate_group counts them by Cauchy-Frobenius,
+averaging fixed points over orbits of commuting pairs of automorphisms,
+so no pair is listed; classify_representatives lists one triple
+(phi, psi, c) per class from the pair spaces themselves.
 
 Order-level queries factor each group into its prime components, use the
 closed formula for cyclic components, run the algorithm on the rest and

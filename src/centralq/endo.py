@@ -488,16 +488,6 @@ class AutGroup:
     def members(self) -> "_MemberSeq":
         return _MemberSeq(self)
 
-    def compose_indices(self, i: int, j: int) -> int:
-        """Index of member i after member j."""
-        return int(self.lookup_images(self.tables[i][self.images[j]][None, :])[0])
-
-    def inverse_index(self, i: int) -> int:
-        row = self.tables[i]
-        inv = np.empty_like(row)
-        inv[row] = np.arange(len(row), dtype=row.dtype)
-        return self.index_of_table(inv)
-
 
 class _MemberSeq(Sequence):
     def __init__(self, aut: AutGroup):

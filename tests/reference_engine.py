@@ -27,6 +27,15 @@ from centralq.endo import AutGroup, Endomorphism, aut_group, one_minus
 _FULL_SWEEP_LIMIT = 1024
 
 
+def compose_indices(A: AutGroup, i: int, j: int) -> int:
+    """Index of member i after member j."""
+    return int(A.lookup_images(A.tables[i][A.images[j]][None, :])[0])
+
+
+def inverse_index(A: AutGroup, i: int) -> int:
+    return A.index_of_table(_inverse_perm(A.tables[i]))
+
+
 def _closure_indices(A: AutGroup, gens: list[int]) -> set[int]:
     seen = {A.identity_index}
     frontier = [A.identity_index]
@@ -34,7 +43,7 @@ def _closure_indices(A: AutGroup, gens: list[int]) -> set[int]:
         nxt = []
         for x in frontier:
             for g in gens:
-                y = A.compose_indices(g, x)
+                y = compose_indices(A, g, x)
                 if y not in seen:
                     seen.add(y)
                     nxt.append(y)
@@ -239,8 +248,8 @@ def pair_orbit_count_bruteforce(A):
     size = len(A)
     conj = []
     for h in range(size):
-        hinv = A.inverse_index(h)
-        conj.append([A.compose_indices(A.compose_indices(h, m), hinv) for m in range(size)])
+        hinv = inverse_index(A, h)
+        conj.append([compose_indices(A, compose_indices(A, h, m), hinv) for m in range(size)])
     seen = [[False] * size for _ in range(size)]
     orbits = 0
     for a in range(size):
@@ -258,3 +267,25 @@ def pair_orbit_count_bruteforce(A):
                         seen[nx][ny] = True
                         stack.append((nx, ny))
     return orbits
+
+
+def fixed_pairs(A: AutGroup, f_idx: int, h_idx: int) -> tuple[int, int]:
+    """Points (psi, coset of Im(1 - f - psi)) fixed by h, counted one by one.
+
+    h must commute with f.  h fixes the point when it commutes with psi and
+    maps the coset to itself.  Returns the count over all psi and the count
+    over psi in C(f) (the medial points).
+    """
+    group = A.group
+    f, h = A.member(f_idx), A.member(h_idx)
+    fixed = medial = 0
+    for psi in A.members:
+        if h.compose(psi) != psi.compose(h):
+            continue
+        image = one_minus(f, psi).image()
+        reps, _ = group.cosets(image)
+        count = sum(group.sub(h.apply(c), c) in image for c in reps)
+        fixed += count
+        if f.compose(psi) == psi.compose(f):
+            medial += count
+    return fixed, medial

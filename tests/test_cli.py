@@ -84,7 +84,7 @@ def test_broken_worker_pool_exit_code(capsys, monkeypatch):
     from centralq import _engine
 
     # forked workers inherit the patch and die as if killed for memory
-    monkeypatch.setattr(_engine, "process_class", lambda *args: os._exit(9))
+    monkeypatch.setattr(_engine, "count_class", lambda *args: os._exit(9))
     code, _, err = run(capsys, "count", "--group", "C2xC2", "--jobs", "2", "--no-cache")
     assert code == EXIT_RESOURCE
     assert err.count("\n") == 1 and err.startswith("error: ")

@@ -11,17 +11,19 @@ import pytest
 from centralq import _engine
 from centralq._engine import (
     EngineContext,
+    SubgroupRegistry,
     _coset_data,
     _orbit_min_labels,
+    count_class,
     enumerate_counts,
     process_class,
 )
 from centralq.abelian import parse_group
 from centralq.action import centralizer_indices, conjugacy_class_reps
 from centralq.counting import classify_representatives
-from centralq.endo import aut_group, one_minus, scalar_endo
+from centralq.endo import aut_group, aut_group_order, one_minus, scalar_endo
 
-from reference_engine import orbit_reps_conjugation
+from reference_engine import fixed_pairs, orbit_reps_conjugation
 
 
 def _cases(desc):
@@ -132,6 +134,124 @@ def test_centralizer_generators_must_centralize(monkeypatch):
         process_class(ctx, f)
 
 
+def test_count_class_generators_must_centralize(monkeypatch):
+    g = parse_group("C3xC3")
+    A = aut_group(g)
+    ctx = EngineContext(g, A)
+    reps = conjugacy_class_reps(A).representatives
+    h = next(r for r in reps if not ctx.centralizer_mask(r).all())
+    outsider = int(np.flatnonzero(~ctx.centralizer_mask(h))[0])
+    monkeypatch.setattr(EngineContext, "find_generators", lambda self, *args: [outsider])
+    with pytest.raises(AssertionError, match="does not centralize the representative"):
+        count_class(ctx, h)
+
+
+@pytest.mark.parametrize("desc", ["C2xC2", "C3xC3", "C4xC2", "C2^3"])
+def test_fixed_points_match_brute_force(desc):
+    g = parse_group(desc)
+    A = aut_group(g)
+    ctx = EngineContext(g, A)
+    terms = 0
+    for h in conjugacy_class_reps(A).representatives:
+        res = count_class(ctx, h)
+        for f, fixed, medial in zip(res.reps, res.fixed, res.medial_fixed):
+            assert (fixed, medial) == fixed_pairs(A, f, h), (h, f)
+            terms += 1
+    assert terms == enumerate_counts(g, A).commuting_pair_orbits
+
+
+def _fields(counts):
+    fields = ("conj_classes", "pair_orbits", "commuting_pair_orbits", "cq", "mq")
+    return tuple(getattr(counts, f) for f in fields)
+
+
+def test_count_route_matches_pair_space_route(fixture_groups):
+    checked = 0
+    for desc in fixture_groups:
+        g = parse_group(desc)
+        if len(g.prime_spans) != 1 or aut_group_order(g) > 25_000:
+            continue
+        A = aut_group(g)
+        pair_space = enumerate_counts(g, A, collect=True)
+        assert _fields(enumerate_counts(g, A)) == _fields(pair_space), desc
+        checked += 1
+    assert checked == 70
+
+
+def test_counting_never_runs_the_pair_space_route(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("process_class called while counting")
+
+    g = parse_group("C4xC2xC2")
+    monkeypatch.setattr(_engine, "process_class", refuse)
+    assert _fields(enumerate_counts(g, aut_group(g))) == (13, 564, 146, 820, 150)
+
+
+def _noncentral_rep(desc):
+    """A representative whose centralizer is proper, not abelian and not of order n."""
+    g = parse_group(desc)
+    A = aut_group(g)
+    ctx = EngineContext(g, A)
+    for h in conjugacy_class_reps(A).representatives:
+        res = count_class(ctx, h)
+        c = res.centralizer_order
+        if c not in (len(A), g.order) and len(res.reps) < c:
+            return ctx, h
+    raise AssertionError(f"no such representative in {desc}")
+
+
+def test_class_sizes_must_add_up(monkeypatch):
+    ctx, h = _noncentral_rep("C2^4")
+
+    def shifted(gens, count):
+        # no point is its own label, so no class has a representative
+        return np.roll(np.arange(count), 1)
+
+    monkeypatch.setattr(_engine, "_orbit_min_labels", shifted)
+    with pytest.raises(AssertionError, match="class sizes of the centralizer"):
+        count_class(ctx, h)
+
+
+def test_scanned_centralizer_must_match_the_class_size(monkeypatch):
+    ctx, h = _noncentral_rep("C2^4")
+    size = len(ctx.centralizer_members(h))
+    real = _engine._orbit_min_labels
+
+    def singletons(gens, count):
+        # every member of C(h) its own class: a consistent labelling, wrong sizes
+        return np.arange(count) if count == size else real(gens, count)
+
+    monkeypatch.setattr(_engine, "_orbit_min_labels", singletons)
+    with pytest.raises(AssertionError, match="scanned centralizer disagrees"):
+        count_class(ctx, h)
+
+
+def test_fixed_point_numerators_must_divide_by_n(monkeypatch):
+    g = parse_group("C3xC3")
+    # one coset too many for every subgroup, |ker(h - 1)| among them
+    extra = property(lambda self: self._counts[: len(self)] + 1)
+    monkeypatch.setattr(SubgroupRegistry, "counts", extra)
+    with pytest.raises(AssertionError, match="not divisible by n"):
+        enumerate_counts(g, aut_group(g))
+
+
+def test_group_totals_must_divide_by_the_group_order(monkeypatch):
+    real = _engine.count_class
+    g = parse_group("C3xC3")
+    A = aut_group(g)
+
+    def one_more(ctx, h):
+        res = real(ctx, h)
+        if h != A.identity_index:
+            return res
+        # the identity pair's term has |C(f) ∩ C(h)| = |Aut|: one more in the numerator
+        return dataclasses.replace(res, fixed=[res.fixed[0] + 1] + res.fixed[1:])
+
+    monkeypatch.setattr(_engine, "count_class", one_more)
+    with pytest.raises(AssertionError, match=r"whole counts over \|Aut\|"):
+        enumerate_counts(g, A)
+
+
 def _triples(desc):
     g = parse_group(desc)
     A = aut_group(g)
@@ -153,16 +273,16 @@ def test_classification_is_unchanged():
 
 
 def test_burnside_identity_is_checked(monkeypatch):
-    real = _engine.process_class
+    real = _engine.count_class
 
-    def off_by_one(ctx, f, collect=False):
-        res = real(ctx, f, collect)
+    def off_by_one(ctx, h):
+        res = real(ctx, h)
         return dataclasses.replace(res, centralizer_order=res.centralizer_order + 1)
 
     g = parse_group("C2xC2")
     counts = enumerate_counts(g, aut_group(g))
     assert counts.pair_orbits == sum(r.centralizer_order for r in counts.class_results)
-    monkeypatch.setattr(_engine, "process_class", off_by_one)
+    monkeypatch.setattr(_engine, "count_class", off_by_one)
     with pytest.raises(AssertionError, match="centralizer orders"):
         enumerate_counts(g, aut_group(g))
 
@@ -180,7 +300,7 @@ def test_progress_is_logged_per_class_in_the_pool(caplog):
 def test_per_class_pair_orbits_match_the_oracle(desc):
     g = parse_group(desc)
     A = aut_group(g)
-    for res in enumerate_counts(g, A).class_results:
+    for res in enumerate_counts(g, A, collect=True).class_results:
         cent = centralizer_indices(A, res.rep)
         part = orbit_reps_conjugation(A, cent, range(len(A)))
         assert res.pair_orbits == len(part)
