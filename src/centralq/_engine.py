@@ -13,10 +13,17 @@ count_class gets these by Cauchy-Frobenius without building the pairs:
 the orbit counts are averages of fixed-point counts, and regrouped over
 orbits of commuting pairs (h, f) every term is one pass over G (central)
 plus one subgroup join chain per member of C(f) ∩ C(h) (medial), kept as
-exact numerators over |Aut|.  process_class builds the pair space of one
-representative and labels its orbits; it serves the explicit
-classification, which needs one point per orbit, and is the second route
-the tests compare the counts with.
+exact numerators over |Aut|.  A proper centralizer C(h) is worked in its
+own sorted member list: its generators are found by a local search (right
+multiplication by a candidate is a permutation of local positions, and
+the subgroup generated so far is the orbit of the identity's position),
+its classes by conjugation restricted to those positions, and C(f) ∩ C(h)
+for a run of terms f by one array pass over C(h).  Only Aut(G)'s own
+generating set (agens) grows a closure over all member indices.
+
+process_class builds the pair space of one representative and labels its
+orbits; it serves the explicit classification, which needs one point per
+orbit, and is the second route the tests compare the counts with.
 
 The image of x - f(x) - m(x) is a homomorphic image, so it is spanned by
 the values on the rank canonical generators, read from the members'
@@ -51,6 +58,10 @@ log = logging.getLogger(__name__)
 ENGINE_VERSION = 4
 
 _CHUNK_ROWS = 1 << 19
+# most psi rows in one run of medial terms: the registry gathers copy their
+# index arrays to intp, so joining every term of a large C(h) at once costs
+# memory; a single larger term is joined in slices of _CHUNK_ROWS rows
+_MEDIAL_ROWS = 1 << 16
 _MAX_GENERATOR_TRIES = 64
 
 
@@ -246,37 +257,65 @@ class EngineContext:
             frontier = np.concatenate(new) if new else np.empty(0, np.int64)
         return mask, size
 
-    def find_generators(self, pool: np.ndarray, expected: int, seed: str) -> list[int]:
+    def find_generators(self, members: np.ndarray, cols: np.ndarray, seed: str) -> list[int]:
         """A small generating set for a subgroup given by its member list.
 
-        pool is the sorted member-index list; random members outside the
-        current closure are added until it has the expected size.  Each
-        addition at least doubles the closure, so 64 tries cover any group.
+        members is the sorted member-index list and cols their tables
+        transposed (row x holds m(x) for every member m).  Random members
+        outside the subgroup generated so far are added until it is all of
+        members; each addition at least doubles it, so 64 tries cover any
+        group.  The search never leaves the member list: right
+        multiplication by a generator g is a permutation of local positions
+        (m -> m g, read from the members' images of g's generator images),
+        and the subgroup generated so far is the orbit of the identity's
+        position under those permutations.
         """
-        if expected == 1:
+        c_size = len(members)
+        if c_size == 1:
             return [self.aut.identity_index]
+        id_pos = int(np.searchsorted(members, self.aut.identity_index))
         rng = random.Random(f"{self.seed_base}:{seed}")
         gens: list[int] = []
-        mask = np.zeros(self.N, dtype=bool)
-        mask[self.aut.identity_index] = True
+        perms: list[np.ndarray] = []
+        inside = np.arange(c_size) == id_pos
         for _ in range(_MAX_GENERATOR_TRIES):
-            outside = pool[~mask[pool]]
-            if not len(outside):
-                break
-            gens.append(int(outside[rng.randrange(len(outside))]))
-            mask, size = self.closure_mask(gens)
-            if size == expected:
-                return gens
-            if size > expected:
+            outside = members[~inside]
+            gen = int(outside[rng.randrange(len(outside))])
+            glob = self.aut.lookup_images(cols[self.tables[gen][self.gen_pos]].T)
+            pos = np.searchsorted(members, glob).clip(max=c_size - 1)
+            if (members[pos] != glob).any():
                 raise AssertionError("closure left the subgroup; inputs inconsistent")
-        raise AssertionError(f"could not generate subgroup of size {expected}")
+            gens.append(gen)
+            perms.append(pos)
+            labels = _orbit_min_labels(perms, c_size)
+            inside = labels == labels[id_pos]
+            if inside.all():
+                return gens
+        raise AssertionError(f"could not generate subgroup of size {c_size}")
 
     @property
     def agens(self) -> list[int]:
-        """A reduced generating set for the whole automorphism group."""
-        if self._agens is None:
-            self._agens = self.find_generators(np.arange(self.N), self.N, "whole-group")
-        return self._agens
+        """A reduced generating set for the whole automorphism group.
+
+        The same seeded search as find_generators, but growing a
+        breadth-first closure over member indices: over the whole group
+        that beats orbit labels (Aut(C5^3): 0.41 s against 4.8 s, with the
+        same generators).
+        """
+        if self._agens is not None:
+            return self._agens
+        ident = self.aut.identity_index
+        gens = [ident] if self.N == 1 else []
+        rng = random.Random(f"{self.seed_base}:whole-group")
+        mask, size = np.arange(self.N) == ident, 1
+        while size < self.N:
+            if len(gens) == _MAX_GENERATOR_TRIES:
+                raise AssertionError(f"could not generate subgroup of size {self.N}")
+            outside = np.flatnonzero(~mask)
+            gens.append(int(outside[rng.randrange(len(outside))]))
+            mask, size = self.closure_mask(gens)
+        self._agens = gens
+        return gens
 
     def centralizer_mask(self, f: int) -> np.ndarray:
         """Members m with f m == m f, compared on the generator images."""
@@ -379,7 +418,8 @@ def process_class(ctx: EngineContext, f: int, collect: bool = False) -> ClassRes
     if c_size == N:
         cgens = ctx.agens
     else:
-        cgens = ctx.find_generators(np.flatnonzero(commuting), c_size, f"class {f}")
+        pool = np.flatnonzero(commuting)
+        cgens = ctx.find_generators(pool, ctx.tables[pool].T, f"class {f}")
 
     mperms = [ctx.conj_perm(h) for h in cgens]
     # every generator must fix f's conjugacy behaviour: h f h^-1 == f
@@ -489,14 +529,15 @@ class ClassTerms:
         )
 
 
-def _local_conj_perms(
+def _local_class_labels(
     ctx: EngineContext, h: int, members: np.ndarray, cols_c: np.ndarray, cgens: list[int]
-) -> list[np.ndarray]:
-    """Conjugation by each generator on C(h), as permutations of local positions.
+) -> np.ndarray:
+    """Conjugacy class labels of C(h), over positions in its member list.
 
     members is C(h) as sorted member indices and cols_c their tables
-    transposed (row x holds m(x) for every member m); g m g^-1 is found from
-    generator images as in conj_perm, over these members only.
+    transposed (row x holds m(x) for every member m); conjugation by each
+    generator, g m g^-1, is found from generator images as in conj_perm,
+    over these members only, as a permutation of local positions.
     """
     h_pos = int(np.searchsorted(members, h))
     perms = []
@@ -509,7 +550,72 @@ def _local_conj_perms(
         if glob[h_pos] != h:
             raise AssertionError("generator does not centralize the representative")
         perms.append(np.searchsorted(members, glob))
-    return perms
+    return _orbit_min_labels(perms, len(members))
+
+
+def _term_chunks(rows: np.ndarray, width: int):
+    """Runs [a, b) of consecutive terms with at most _MEDIAL_ROWS rows in all
+    and at most _CHUNK_ROWS // width terms; a larger term is a run of its own."""
+    ends = np.cumsum(rows)
+    a = 0
+    while a < len(rows):
+        base = int(ends[a - 1]) if a else 0
+        b = int(np.searchsorted(ends, base + _MEDIAL_ROWS, side="right"))
+        b = max(a + 1, min(b, a + _CHUNK_ROWS // width))
+        yield a, b
+        a = b
+
+
+def _medial_fixed(
+    ctx: EngineContext, t_h: int, fs: np.ndarray, sizes: np.ndarray, cols_c: np.ndarray | None
+) -> np.ndarray:
+    """Sum of [G : S + T] over psi in C(f) ∩ C(h), S = Im(1 - f - psi), per term f.
+
+    fs are the terms' representatives, sizes their class sizes in C(h) and t_h
+    the registry id of T = Im(h - 1).  For central h, C(f) ∩ C(h) = C(f)
+    comes from the per-process centralizer cache; otherwise cols_c holds
+    C(h)'s transposed tables, and a run of terms is tested for commuting
+    with every member of C(h) in one array pass per generator.  Each run's join rows
+    (g - f(g) - psi(g), one row per pair (f, psi)) go through the join
+    chain seeded at T together, and the coset counts are summed per term.
+    """
+    reg, gp = ctx.subgroups, ctx.gen_pos
+    c_size = ctx.N if cols_c is None else cols_c.shape[1]
+    ftabs = ctx.tables[fs]
+    d = reg.sub[gp, ftabs[:, gp]]  # (terms, rank): g - f(g)
+    if cols_c is not None:
+        img = cols_c[gp].astype(np.intp)  # (rank, |C(h)|): psi(g)
+    out = np.zeros(len(fs), dtype=np.int64)
+    for a, b in _term_chunks(c_size // sizes, 1 if cols_c is None else c_size):
+        if cols_c is None:
+            cents = [ctx.centralizer_members(f) for f in fs[a:b]]
+            found = np.asarray([len(c) for c in cents])
+            psi = ctx.images[cents[0] if b - a == 1 else np.concatenate(cents)].T
+        else:
+            ft = ftabs[a:b]
+            commuting = np.ones((b - a, c_size), dtype=bool)
+            for i, x in enumerate(gp):  # f(psi(g)) == psi(f(g)) on every generator g
+                commuting &= np.take(ft, img[i], axis=1) == cols_c[ft[:, x]]
+            found = np.count_nonzero(commuting, axis=1)
+            psi = img[:, np.nonzero(commuting)[1]]
+        # |C(f) ∩ C(h)| scanned must match |C(h)| / |class of f|
+        if (found * sizes[a:b] != c_size).any():
+            raise AssertionError("the scanned centralizer disagrees with the class size")
+        rows = psi.shape[1]
+        if b - a == 1:  # a single term may be large: broadcast, and join in slices
+            dt = np.broadcast_to(d[a], (rows, len(gp)))
+        else:
+            dt = np.repeat(d[a:b], found, axis=0)
+        vals = np.empty(rows, dtype=np.int32)
+        for lo in range(0, rows, _CHUNK_ROWS):
+            hi = min(lo + _CHUNK_ROWS, rows)
+            s = np.full(hi - lo, t_h, dtype=np.int32)
+            for i in range(len(gp)):
+                s = reg.join(s, reg.sub[dt[lo:hi, i], psi[i, lo:hi]])
+            vals[lo:hi] = reg.counts[s]  # read after the joins, which may grow the registry
+        starts = np.concatenate([[0], np.cumsum(found[:-1])])
+        out[a:b] = np.add.reduceat(vals, starts, dtype=np.int64)
+    return out
 
 
 def count_class(ctx: EngineContext, h: int) -> ClassTerms:
@@ -528,7 +634,10 @@ def count_class(ctx: EngineContext, h: int) -> ClassTerms:
 
     one gather over G per f from a (coset of T) x (orbit) count table.
     The medial term sums [G : S + T] over psi in C(f) ∩ C(h) through the
-    registry's join table, seeded at T.  No pair space is built.
+    registry's join table, seeded at T (_medial_fixed).  No pair space is
+    built, and a proper C(h) is handled in its own member list: generator
+    search, class labels and the commuting test never touch the rest of
+    Aut(G).
     """
     N, n = ctx.N, ctx.group.order
     reg = ctx.subgroups
@@ -538,13 +647,13 @@ def count_class(ctx: EngineContext, h: int) -> ClassTerms:
     if N % c_size:
         raise AssertionError("centralizer size does not divide the group order")
     central = c_size == N
+    cols_c = None
     if central:
         cgens, labels = ctx.agens, ctx.class_labels
     else:
-        cgens = ctx.find_generators(members, c_size, f"class {h}")
         cols_c = np.ascontiguousarray(tab[members].T)  # row x: m(x) for m in C(h)
-        img_c = cols_c[gp]
-        labels = _orbit_min_labels(_local_conj_perms(ctx, h, members, cols_c, cgens), c_size)
+        cgens = ctx.find_generators(members, cols_c, f"class {h}")
+        labels = _local_class_labels(ctx, h, members, cols_c, cgens)
     roots = np.flatnonzero(labels == np.arange(c_size, dtype=labels.dtype))
     sizes = np.bincount(labels, minlength=c_size)[roots]
     if int(sizes.sum()) != c_size:
@@ -566,30 +675,10 @@ def count_class(ctx: EngineContext, h: int) -> ClassTerms:
     weight = c_size // orbit_size[orbit]  # |C(h)| / |O_x|
     moved = reg.sub[np.arange(n), tab[fs]]  # (1 - f)x per term and x
     fix = kernel * (table[coset[moved], orbit] * weight).sum(axis=1)
-
     if (fix % n).any():
         raise AssertionError("a fixed-point numerator is not divisible by n")
-    # medial: g - f(g) - psi(g) for every psi in C(f) ∩ C(h), term by term,
-    # as (rank, psi) arrays
-    moves = []
-    for f, size in zip(fs, sizes):
-        ftab = tab[f]
-        if central:
-            psi_images = ctx.images[ctx.centralizer_members(f)].T
-        else:
-            psi_images = img_c[:, np.all(ftab[img_c] == cols_c[ftab[gp]], axis=0)]
-        # |C(f) ∩ C(h)| scanned must match |C(h)| / |class of f|
-        if psi_images.shape[1] * size != c_size:
-            raise AssertionError("the scanned centralizer disagrees with the class size")
-        moves.append(reg.sub[reg.sub[gp, ftab[gp]][:, None], psi_images])
-    starts = np.cumsum([0] + [m.shape[1] for m in moves[:-1]])
-    t = np.concatenate(moves, axis=1)
-    del moves
-    s = np.full(t.shape[1], t_h, dtype=np.int32)
-    for row in t:
-        s = reg.join(s, row)
-    counts = reg.counts  # read after the joins, which may grow the registry
-    medial_fixed = np.add.reduceat(counts[s], starts)
+
+    medial_fixed = _medial_fixed(ctx, t_h, fs, sizes, cols_c)
     return ClassTerms(
         rep=h,
         centralizer_order=c_size,

@@ -385,6 +385,7 @@ def cmd_verify(args) -> int:
         f"verified {checked} cells: {matched} matched, {mismatched} mismatched, "
         f"{skipped_unknown} unknown in the table, {skipped_budget} skipped over budget"
     )
+    print(f"{cache.hits if cache else 0} group reports read from the cache")
     return EXIT_MISMATCH if mismatched else EXIT_OK
 
 

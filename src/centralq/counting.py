@@ -220,11 +220,13 @@ class ReportCache:
     """One JSON file per group descriptor; only complete reports are kept.
 
     Entries record the engine version that computed them, and an entry
-    from any other version reads as a miss.
+    from any other version reads as a miss.  `hits` counts the reports
+    this instance has returned.
     """
 
     def __init__(self, directory: Path | str | None = None):
         self.directory = Path(directory) if directory else default_cache_dir()
+        self.hits = 0
 
     def _path(self, descriptor: str) -> Path:
         return self.directory / f"{descriptor}.json"
@@ -240,7 +242,10 @@ class ReportCache:
         if payload.get("engine") != _engine.ENGINE_VERSION:
             return None
         report = GroupReport.from_dict(payload)
-        return report if report.complete else None
+        if not report.complete:
+            return None
+        self.hits += 1
+        return report
 
     def put(self, report: GroupReport) -> None:
         if not report.complete:

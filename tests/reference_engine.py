@@ -12,9 +12,11 @@ reduced to a small generating set, small ones are applied with full
 sweeps.
 """
 
+import random
+
 import numpy as np
 
-from centralq._engine import _inverse_perm
+from centralq._engine import EngineContext, _inverse_perm
 from centralq.abelian import AbelianGroup, Subgroup
 from centralq.action import (
     OrbitPartition,
@@ -34,6 +36,32 @@ def compose_indices(A: AutGroup, i: int, j: int) -> int:
 
 def inverse_index(A: AutGroup, i: int) -> int:
     return A.index_of_table(_inverse_perm(A.tables[i]))
+
+
+def closure_generators(ctx: EngineContext, pool: np.ndarray, expected: int, seed: str) -> list[int]:
+    """The engine's seeded generator search, by breadth-first closure over all of Aut.
+
+    Draws from the same seeded stream as EngineContext.find_generators,
+    from the members of the sorted pool outside the closure so far, and
+    re-closes from the identity over an |Aut|-long mask after each draw.
+    """
+    if expected == 1:
+        return [ctx.aut.identity_index]
+    rng = random.Random(f"{ctx.seed_base}:{seed}")
+    gens: list[int] = []
+    mask = np.zeros(ctx.N, dtype=bool)
+    mask[ctx.aut.identity_index] = True
+    for _ in range(64):
+        outside = pool[~mask[pool]]
+        if not len(outside):
+            break
+        gens.append(int(outside[rng.randrange(len(outside))]))
+        mask, size = ctx.closure_mask(gens)
+        if size == expected:
+            return gens
+        if size > expected:
+            raise AssertionError("closure left the subgroup; inputs inconsistent")
+    raise AssertionError(f"could not generate subgroup of size {expected}")
 
 
 def _closure_indices(A: AutGroup, gens: list[int]) -> set[int]:

@@ -3,7 +3,7 @@
 Run with -s to see the lines as they happen.  The heaviest table row (the
 elementary abelian group of order 32, |Aut| ~ 10^7) is split out behind
 the `stretch` marker together with everything derived from it; run
-`pytest -m stretch` to include it (roughly 10-20 minutes on two cores).
+`pytest -m stretch` to include it (about 40 s on two cores).
 """
 
 import random

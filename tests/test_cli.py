@@ -198,6 +198,19 @@ def test_verify_small_range(capsys, tmp_path):
     assert "0 mismatched" in out
 
 
+def test_verify_reports_cache_reads(capsys, tmp_path):
+    cache = str(tmp_path / "cache")
+    reads = []
+    for _ in range(2):
+        code, out, _ = run(capsys, "verify", "--max", "8", "--cache-dir", cache)
+        assert code == EXIT_OK
+        summary, last = out.splitlines()[-2:]
+        assert " 0 mismatched" in summary
+        reads.append(int(last.removesuffix(" group reports read from the cache")))
+    assert reads[0] == 0
+    assert reads[1] > 0
+
+
 def test_verify_max_one(capsys):
     code, out, _ = run(capsys, "verify", "--max", "1", "--no-cache")
     assert code == EXIT_OK

@@ -23,7 +23,7 @@ from centralq.action import centralizer_indices, conjugacy_class_reps
 from centralq.counting import classify_representatives
 from centralq.endo import aut_group, aut_group_order, one_minus, scalar_endo
 
-from reference_engine import fixed_pairs, orbit_reps_conjugation
+from reference_engine import closure_generators, fixed_pairs, orbit_reps_conjugation
 
 
 def _cases(desc):
@@ -134,6 +134,37 @@ def test_centralizer_generators_must_centralize(monkeypatch):
         process_class(ctx, f)
 
 
+@pytest.mark.parametrize(
+    "desc, proper", [("C11xC11", 110), ("C8xC4xC2", 100), ("C3^3", 22), ("C2^4", 13)]
+)
+def test_local_generator_search_matches_the_closure_search(desc, proper):
+    g = parse_group(desc)
+    A = aut_group(g)
+    ctx = EngineContext(g, A)
+    checked = 0
+    for h in conjugacy_class_reps(A).representatives:
+        members = ctx.centralizer_members(h)
+        if len(members) == len(A):
+            continue
+        cols = np.ascontiguousarray(A.tables[members].T)
+        gens = ctx.find_generators(members, cols, f"class {h}")
+        assert gens == closure_generators(ctx, members, len(members), f"class {h}"), h
+        assert ctx.closure_mask(gens)[1] == len(members)
+        checked += 1
+    assert checked == proper
+
+
+def test_generator_search_refuses_an_unclosed_pool():
+    g = parse_group("C3xC3")
+    A = aut_group(g)
+    ctx = EngineContext(g, A)
+    # the identity and one member of order 3, without its square
+    x = next(m for m in range(len(A)) if ctx.closure_mask([m])[1] == 3)
+    pool = np.asarray(sorted([A.identity_index, x]))
+    with pytest.raises(AssertionError, match="closure left the subgroup"):
+        ctx.find_generators(pool, np.ascontiguousarray(A.tables[pool].T), "unclosed")
+
+
 def test_count_class_generators_must_centralize(monkeypatch):
     g = parse_group("C3xC3")
     A = aut_group(g)
@@ -203,27 +234,43 @@ def _noncentral_rep(desc):
 def test_class_sizes_must_add_up(monkeypatch):
     ctx, h = _noncentral_rep("C2^4")
 
-    def shifted(gens, count):
+    def shifted(ctx, h, members, *args):
         # no point is its own label, so no class has a representative
-        return np.roll(np.arange(count), 1)
+        return np.roll(np.arange(len(members)), 1)
 
-    monkeypatch.setattr(_engine, "_orbit_min_labels", shifted)
+    monkeypatch.setattr(_engine, "_local_class_labels", shifted)
     with pytest.raises(AssertionError, match="class sizes of the centralizer"):
         count_class(ctx, h)
 
 
 def test_scanned_centralizer_must_match_the_class_size(monkeypatch):
     ctx, h = _noncentral_rep("C2^4")
-    size = len(ctx.centralizer_members(h))
-    real = _engine._orbit_min_labels
 
-    def singletons(gens, count):
+    def singletons(ctx, h, members, *args):
         # every member of C(h) its own class: a consistent labelling, wrong sizes
-        return np.arange(count) if count == size else real(gens, count)
+        return np.arange(len(members))
 
-    monkeypatch.setattr(_engine, "_orbit_min_labels", singletons)
+    monkeypatch.setattr(_engine, "_local_class_labels", singletons)
     with pytest.raises(AssertionError, match="scanned centralizer disagrees"):
         count_class(ctx, h)
+
+
+@pytest.mark.parametrize("desc", ["C4xC4xC2", "C11xC11", "C8xC2xC2xC2"])
+@pytest.mark.parametrize(
+    "limit, value",
+    [
+        ("_MEDIAL_ROWS", 1),  # every medial run one term
+        ("_CHUNK_ROWS", 1000),  # one term per run, and large terms joined in slices
+    ],
+)
+def test_medial_chunks_change_nothing(desc, limit, value, monkeypatch):
+    g = parse_group(desc)
+    A = aut_group(g)
+    reps = conjugacy_class_reps(A).representatives
+    default = [count_class(EngineContext(g, A), h) for h in reps]
+    monkeypatch.setattr(_engine, limit, value)
+    ctx = EngineContext(g, A)
+    assert [count_class(ctx, h) for h in reps] == default
 
 
 def test_fixed_point_numerators_must_divide_by_n(monkeypatch):
