@@ -23,7 +23,10 @@ generating set (agens) grows a closure over all member indices.
 
 process_class builds the pair space of one representative and labels its
 orbits; it serves the explicit classification, which needs one point per
-orbit, and is the second route the tests compare the counts with.
+orbit, and is the second route the tests compare the counts with.  Both
+per-class routes get C(f) from one helper (_centralizer: the cached
+member list, its transposed tables and its generators), and both results
+give cq and mq as numerators over |Aut|.
 
 The image of x - f(x) - m(x) is a homomorphic image, so it is spanned by
 the values on the rank canonical generators, read from the members'
@@ -44,7 +47,7 @@ import multiprocessing
 import os
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -359,8 +362,12 @@ class ClassResult:
     commuting_pair_orbits: int
     cq: int
     mq: int
-    # optional classification data: member index, coset rep element, medial flag
-    triples: list[tuple[int, int, bool]] = field(default_factory=list)
+    # classification data: member index, coset rep element, medial flag
+    triples: list[tuple[int, int, bool]]
+
+    def numerators(self, order: int) -> tuple[int, int]:
+        """cq and mq as numerators over order, as ClassTerms gives them."""
+        return self.cq * order, self.mq * order
 
 
 def _coset_data(ctx: EngineContext, f: int) -> np.ndarray:
@@ -403,23 +410,33 @@ def _transport_table(ctx: EngineContext, family: np.ndarray, h: int) -> np.ndarr
     return out
 
 
-def process_class(ctx: EngineContext, f: int, collect: bool = False) -> ClassResult:
+def _centralizer(ctx: EngineContext, f: int) -> tuple[np.ndarray, np.ndarray | None, list[int]]:
+    """C(f) for a per-class route: members, transposed tables and generators.
+
+    members is C(f)'s cached sorted member list, cols their tables
+    transposed (row x holds m(x) for every member m), or None when C(f)
+    is all of Aut, whose generators are agens.
+    """
+    members = ctx.centralizer_members(f)
+    c_size = len(members)
+    if ctx.N % c_size:
+        raise AssertionError("centralizer size does not divide the group order")
+    if c_size == ctx.N:
+        return members, None, ctx.agens
+    cols = np.ascontiguousarray(ctx.tables[members].T)
+    return members, cols, ctx.find_generators(members, cols, f"class {f}")
+
+
+def process_class(ctx: EngineContext, f: int) -> ClassResult:
     """All counts contributed by one conjugacy representative f, from its pair space.
 
-    With collect, also one (member, coset representative, medial) triple
-    per orbit.
+    Also one (member, coset representative, medial) triple per orbit: the
+    explicit classification, and the second route the tests compare
+    count_class with.
     """
     N = ctx.N
     reg = ctx.subgroups
-    commuting = ctx.centralizer_mask(f)
-    c_size = int(np.count_nonzero(commuting))
-    if N % c_size:
-        raise AssertionError("centralizer size does not divide the group order")
-    if c_size == N:
-        cgens = ctx.agens
-    else:
-        pool = np.flatnonzero(commuting)
-        cgens = ctx.find_generators(pool, ctx.tables[pool].T, f"class {f}")
+    members, _, cgens = _centralizer(ctx, f)
 
     mperms = [ctx.conj_perm(h) for h in cgens]
     # every generator must fix f's conjugacy behaviour: h f h^-1 == f
@@ -465,26 +482,23 @@ def process_class(ctx: EngineContext, f: int, collect: bool = False) -> ClassRes
     root_idx = np.flatnonzero(labels == np.arange(total, dtype=labels.dtype))
     cq = len(root_idx)
     root_members = m_of_point[root_idx].astype(np.int64)
-    medial_mask = commuting[root_members]
+    medial_mask = np.isin(root_members, members)
     mq = int(np.count_nonzero(medial_mask))
     # a pair orbit covers the C(f)-orbit of its members, every member has a
     # coset, and points grow with m, so each orbit's root lies over the
     # smallest member of that C(f)-orbit: the distinct root members are
-    # exactly the C(f)-orbits of members (commuting is C(f)-invariant)
+    # exactly the C(f)-orbits of members (membership in C(f) is C(f)-invariant)
     orbit_members = np.unique(root_members)
     pair_orbits = len(orbit_members)
-    commuting_pair_orbits = int(np.count_nonzero(commuting[orbit_members]))
+    commuting_pair_orbits = int(np.count_nonzero(np.isin(orbit_members, members)))
 
-    triples = []
-    if collect:
-        root_elems = r_of_point[root_idx]
-        triples = [
-            (int(m), int(r), bool(md))
-            for m, r, md in zip(root_members, root_elems, medial_mask)
-        ]
+    triples = [
+        (int(m), int(r), bool(md))
+        for m, r, md in zip(root_members, r_of_point[root_idx], medial_mask)
+    ]
     return ClassResult(
         rep=f,
-        centralizer_order=c_size,
+        centralizer_order=len(members),
         pair_orbits=pair_orbits,
         commuting_pair_orbits=commuting_pair_orbits,
         cq=cq,
@@ -639,26 +653,20 @@ def count_class(ctx: EngineContext, h: int) -> ClassTerms:
     search, class labels and the commuting test never touch the rest of
     Aut(G).
     """
-    N, n = ctx.N, ctx.group.order
+    n = ctx.group.order
     reg = ctx.subgroups
     tab, gp = ctx.tables, ctx.gen_pos
-    members = ctx.centralizer_members(h)
+    members, cols_c, cgens = _centralizer(ctx, h)
     c_size = len(members)
-    if N % c_size:
-        raise AssertionError("centralizer size does not divide the group order")
-    central = c_size == N
-    cols_c = None
-    if central:
-        cgens, labels = ctx.agens, ctx.class_labels
+    if cols_c is None:  # central h: C(h) is Aut, with Aut's classes
+        labels = ctx.class_labels
     else:
-        cols_c = np.ascontiguousarray(tab[members].T)  # row x: m(x) for m in C(h)
-        cgens = ctx.find_generators(members, cols_c, f"class {h}")
         labels = _local_class_labels(ctx, h, members, cols_c, cgens)
     roots = np.flatnonzero(labels == np.arange(c_size, dtype=labels.dtype))
     sizes = np.bincount(labels, minlength=c_size)[roots]
     if int(sizes.sum()) != c_size:
         raise AssertionError("class sizes of the centralizer do not add up to its order")
-    fs = roots if central else members[roots]
+    fs = members[roots]
 
     # T = Im(h - 1), spanned by (h - 1)g over the canonical generators g
     s = np.zeros(1, dtype=np.int32)
@@ -699,7 +707,7 @@ _WORKER_COLLECT = False
 
 def _run_class(f: int) -> ClassResult | ClassTerms:
     if _WORKER_COLLECT:
-        return process_class(_WORKER_CTX, f, collect=True)
+        return process_class(_WORKER_CTX, f)
     return count_class(_WORKER_CTX, f)
 
 
@@ -725,19 +733,14 @@ def enumerate_counts(
 
     Each representative runs count_class; with collect=True it runs the
     pair-space route, process_class, which also returns one triple per
-    isomorphism class.
+    isomorphism class.  Either result gives cq and mq as numerators over
+    |Aut|, and the sums must divide by it.
     """
     ctx = EngineContext(group, aut)
     class_labels = ctx.class_labels
     reps = np.flatnonzero(class_labels == np.arange(ctx.N, dtype=class_labels.dtype))
     class_reps = [int(r) for r in reps]
     log.info("%s: |Aut|=%d, %d conjugacy classes", group.descriptor, ctx.N, len(class_reps))
-
-    # count_class terms are numerators over |Aut|, process_class counts whole
-    den = 1 if collect else ctx.N
-
-    def cq_mq(res) -> tuple[int, int]:
-        return (res.cq, res.mq) if collect else res.numerators(ctx.N)
 
     global _WORKER_CTX, _WORKER_COLLECT
     _WORKER_CTX = ctx
@@ -753,7 +756,7 @@ def enumerate_counts(
                 mapped = ex.map(_run_class, class_reps, chunksize=1)
             for res in mapped:
                 results.append(res)
-                cq, mq = cq_mq(res)
+                cq, mq = res.numerators(ctx.N)
                 cq_num += cq
                 mq_num += mq
                 log.debug(
@@ -761,7 +764,7 @@ def enumerate_counts(
                     group.descriptor,
                     len(results),
                     len(class_reps),
-                    cq_num // den,
+                    cq_num // ctx.N,
                 )
     finally:
         _WORKER_CTX = None
@@ -772,14 +775,14 @@ def enumerate_counts(
     # sum over classes of |C(f)| orbits
     if pair_orbits != sum(r.centralizer_order for r in results):
         raise AssertionError("pair orbits disagree with the sum of centralizer orders")
-    if cq_num % den or mq_num % den:
+    if cq_num % ctx.N or mq_num % ctx.N:
         raise AssertionError("the class terms do not add up to whole counts over |Aut|")
     return GroupCounts(
         conj_classes=len(class_reps),
         pair_orbits=pair_orbits,
         commuting_pair_orbits=sum(r.commuting_pair_orbits for r in results),
-        cq=cq_num // den,
-        mq=mq_num // den,
+        cq=cq_num // ctx.N,
+        mq=mq_num // ctx.N,
         class_reps=class_reps,
         class_results=results,
     )

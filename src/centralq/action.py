@@ -56,9 +56,8 @@ def centralizer(A: AutGroup, f) -> list[Endomorphism]:
 
 
 def centralizer_indices(A: AutGroup, f) -> np.ndarray:
-    idx = _as_index(A, f)
-    ctx = EngineContext(A.group, A)
-    return np.flatnonzero(ctx.centralizer_mask(idx))
+    """Sorted member indices of C(f), as the per-class routes read them."""
+    return EngineContext(A.group, A).centralizer_members(_as_index(A, f))
 
 
 def direct_pair_orbit_count(A: AutGroup, cap: int = 4096) -> int:

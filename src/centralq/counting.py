@@ -219,9 +219,10 @@ def default_cache_dir() -> Path:
 class ReportCache:
     """One JSON file per group descriptor; only complete reports are kept.
 
-    Entries record the engine version that computed them, and an entry
-    from any other version reads as a miss.  `hits` counts the reports
-    this instance has returned.
+    Entries record the engine version that computed them.  An entry from
+    any other version reads as a miss, and so does any entry that is not a
+    consistent report of integers for the requested descriptor.  `hits`
+    counts the reports this instance has returned.
     """
 
     def __init__(self, directory: Path | str | None = None):
@@ -237,12 +238,17 @@ class ReportCache:
             payload = json.loads(path.read_text())
         except (OSError, ValueError):
             return None
+        if not isinstance(payload, dict) or payload.get("descriptor") != descriptor:
+            return None
         if payload.get("schema") != SCHEMA_VERSION:
             return None
         if payload.get("engine") != _engine.ENGINE_VERSION:
             return None
-        report = GroupReport.from_dict(payload)
-        if not report.complete:
+        if any(type(payload.get(f)) is not int for f in _REPORT_FIELDS):
+            return None
+        try:
+            report = GroupReport.from_dict(payload)
+        except AssertionError:  # an inconsistent report
             return None
         self.hits += 1
         return report

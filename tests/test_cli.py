@@ -11,6 +11,7 @@ from centralq.cli import (
     EXIT_OK,
     EXIT_RESOURCE,
     EXIT_USAGE,
+    build_parser,
     load_fixture,
     main,
     parse_table_csv,
@@ -270,6 +271,15 @@ def test_budget_env_var(capsys, monkeypatch):
     assert "budget of 3" in err
 
 
+def test_malformed_budget_env_var_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("CENTRALQ_AUT_BUDGET", "abc")
+    build_parser()  # the variable is read as the option's default, not parsed here
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--group", "C2xC2", "--no-cache"])
+    assert exc.value.code == EXIT_USAGE
+    assert "argument --aut-budget: invalid int value: 'abc'" in capsys.readouterr().err
+
+
 def test_fixture_loads_and_is_consistent():
     groups, orders = load_fixture()
     assert len(groups) == 232
@@ -294,8 +304,8 @@ def test_fixture_loads_and_is_consistent():
     ],
 )
 def test_verify_class_count_only_row(capsys, tmp_path, conj_classes, budget, code, line):
-    # a row whose only enumerated cell is the class count takes the
-    # conjugacy-classes path instead of a full group report
+    # a row whose only enumerated cell is the class count still gets a full
+    # group report
     fixdir = tmp_path / "fixture"
     fixdir.mkdir()
     src = Path(__file__).resolve().parents[1] / "src" / "centralq" / "data"
@@ -315,3 +325,5 @@ def test_verify_class_count_only_row(capsys, tmp_path, conj_classes, budget, cod
     )
     assert got == code
     assert line in out
+    # within the budget that report also lets the order-8 totals be compared
+    assert ("0 skipped over budget" in out) == (budget == "20000")

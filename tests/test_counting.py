@@ -240,6 +240,31 @@ def test_cache_ignores_other_engine_versions(tmp_path, monkeypatch):
     assert cache.get("C2xC2") is None
 
 
+@pytest.mark.parametrize(
+    "poison",
+    [
+        lambda payload: [1, 2],  # not an object
+        lambda payload: {**payload, "cq": "15"},  # a count that is not an integer
+        lambda payload: {**payload, "mq": payload["cq"] + 1},  # mq > cq: inconsistent
+        # another group's report
+        lambda payload: {**payload, **enumerate_group(parse_group("C3xC3")).to_dict()},
+    ],
+    ids=["not-an-object", "string-count", "inconsistent", "other-group"],
+)
+def test_malformed_cache_entries_are_recomputed(tmp_path, poison):
+    cache = ReportCache(tmp_path)
+    g = parse_group("C2xC2")
+    want = group_report(g, cache=cache)
+    path = tmp_path / "C2xC2.json"
+    payload = json.loads(path.read_text())
+    path.write_text(json.dumps(poison(payload)))
+    assert cache.get("C2xC2") is None
+    assert group_report(g, cache=cache) == want
+    # the entry was overwritten with the recomputed report
+    assert json.loads(path.read_text()) == payload
+    assert cache.get("C2xC2") == want and cache.hits == 1
+
+
 def test_classify_representatives_trivial_group():
     triples = classify_representatives(trivial_group())
     assert len(triples) == 1

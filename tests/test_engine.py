@@ -122,6 +122,16 @@ def test_transport_must_follow_the_member_permutation(monkeypatch):
         process_class(ctx, f)
 
 
+@pytest.mark.parametrize("route", [process_class, count_class])
+def test_centralizer_size_must_divide_the_group_order(monkeypatch, route):
+    ctx, f = _central_case()
+    real = EngineContext.centralizer_members
+    # f = -1 is central: 47 of Aut's 48 members
+    monkeypatch.setattr(EngineContext, "centralizer_members", lambda self, f: real(self, f)[1:])
+    with pytest.raises(AssertionError, match="centralizer size does not divide"):
+        route(ctx, f)
+
+
 def test_centralizer_generators_must_centralize(monkeypatch):
     g = parse_group("C3xC3")
     A = aut_group(g)
