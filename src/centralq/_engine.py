@@ -16,10 +16,10 @@ plus one subgroup join chain per member of C(f) ∩ C(h) (medial), kept as
 exact numerators over |Aut|.  A proper centralizer C(h) is worked in its
 own sorted member list: its generators are found by a local search (right
 multiplication by a candidate is a permutation of local positions, and
-the subgroup generated so far is the orbit of the identity's position),
+the subgroup generated so far grows by a breadth-first sweep of those),
 its classes by conjugation restricted to those positions, and C(f) ∩ C(h)
-for a run of terms f by one array pass over C(h).  Only Aut(G)'s own
-generating set (agens) grows a closure over all member indices.
+for a run of terms f by one array pass over C(h).  agens and conj_perm
+are the same search and conjugation over all of Aut(G)'s members.
 
 process_class builds the pair space of one representative and labels its
 orbits; it serves the explicit classification, which needs one point per
@@ -98,6 +98,21 @@ def _orbit_min_labels(gens: list[np.ndarray], count: int) -> np.ndarray:
         labels = labels[labels]
         if np.array_equal(labels, prev):
             return labels
+
+
+def _member_products(ctx: EngineContext, cols: np.ndarray, g: int, conjugate=False) -> np.ndarray:
+    """Member indices of m g, or of g m g^-1 if conjugate, for every m of a member list.
+
+    cols is the list's tables transposed (row x holds m(x) for every member
+    m); each product is read from its generator images.
+    """
+    gtab = ctx.tables[g]
+    right = (_inverse_perm(gtab) if conjugate else gtab)[ctx.gen_pos]
+    out = np.empty(cols.shape[1], dtype=np.int64)
+    for lo in range(0, len(out), _CHUNK_ROWS):
+        img = cols[right, lo : lo + _CHUNK_ROWS]
+        out[lo : lo + _CHUNK_ROWS] = ctx.aut.lookup_images((gtab[img] if conjugate else img).T)
+    return out
 
 
 class SubgroupRegistry:
@@ -228,17 +243,10 @@ class EngineContext:
 
     def conj_perm(self, h: int) -> np.ndarray:
         """Member permutation m -> h m h^-1, found from generator images alone."""
-        tab = self.tables
-        htab = tab[h]
-        cols = _inverse_perm(htab)[self.gen_pos]
-        out = np.empty(self.N, dtype=np.int64)
-        for lo in range(0, self.N, _CHUNK_ROWS):
-            hi = min(lo + _CHUNK_ROWS, self.N)
-            out[lo:hi] = self.aut.lookup_images(htab[tab[lo:hi, cols]])
-        return out
+        return _member_products(self, self.tables.T, h, conjugate=True)
 
     def closure_mask(self, gens: list[int]) -> tuple[np.ndarray, int]:
-        """Members generated by gens, as a boolean mask over member indices."""
+        """Members generated by gens, as a mask over member indices (the tests' reference)."""
         tab, images = self.tables, self.images
         mask = np.zeros(self.N, dtype=bool)
         ident = self.aut.identity_index
@@ -268,57 +276,50 @@ class EngineContext:
         outside the subgroup generated so far are added until it is all of
         members; each addition at least doubles it, so 64 tries cover any
         group.  The search never leaves the member list: right
-        multiplication by a generator g is a permutation of local positions
-        (m -> m g, read from the members' images of g's generator images),
-        and the subgroup generated so far is the orbit of the identity's
-        position under those permutations.
+        multiplication by a drawn generator is computed once, as a
+        permutation of local positions (m -> m g), and the subgroup grows by
+        a breadth-first sweep of those permutations from the positions it
+        already holds.  agens is this search over the whole group.
         """
         c_size = len(members)
-        if c_size == 1:
-            return [self.aut.identity_index]
-        id_pos = int(np.searchsorted(members, self.aut.identity_index))
         rng = random.Random(f"{self.seed_base}:{seed}")
         gens: list[int] = []
         perms: list[np.ndarray] = []
-        inside = np.arange(c_size) == id_pos
-        for _ in range(_MAX_GENERATOR_TRIES):
+        inside = members == self.aut.identity_index
+        while not inside.all():
+            if len(gens) == _MAX_GENERATOR_TRIES:
+                raise AssertionError(f"could not generate subgroup of size {c_size}")
             outside = members[~inside]
-            gen = int(outside[rng.randrange(len(outside))])
-            glob = self.aut.lookup_images(cols[self.tables[gen][self.gen_pos]].T)
-            pos = np.searchsorted(members, glob).clip(max=c_size - 1)
-            if (members[pos] != glob).any():
-                raise AssertionError("closure left the subgroup; inputs inconsistent")
-            gens.append(gen)
-            perms.append(pos)
-            labels = _orbit_min_labels(perms, c_size)
-            inside = labels == labels[id_pos]
-            if inside.all():
-                return gens
-        raise AssertionError(f"could not generate subgroup of size {c_size}")
+            gens.append(int(outside[rng.randrange(len(outside))]))
+            glob = pos = _member_products(self, cols, gens[-1])
+            if c_size < self.N:  # over the whole group, positions are member indices
+                pos = np.searchsorted(members, glob).clip(max=c_size - 1)
+                if (members[pos] != glob).any():
+                    raise AssertionError("closure left the subgroup; inputs inconsistent")
+            perms.append(pos.astype(np.int32))
+            frontier = np.flatnonzero(inside)
+            while len(frontier):
+                new = []  # marked before the next generator runs, as in closure_mask
+                # take/compress/put: a frontier is often a few points, where
+                # they cost about two thirds of the indexing calls
+                for p in perms:
+                    idx = p.take(frontier)
+                    idx = idx.compress(~inside.take(idx))
+                    inside.put(idx, True)
+                    new.append(idx)
+                frontier = np.concatenate(new)
+        return gens or [self.aut.identity_index]
 
     @property
     def agens(self) -> list[int]:
         """A reduced generating set for the whole automorphism group.
 
-        The same seeded search as find_generators, but growing a
-        breadth-first closure over member indices: over the whole group
-        that beats orbit labels (Aut(C5^3): 0.41 s against 4.8 s, with the
-        same generators).
+        find_generators over the whole group's member list, computed once.
         """
-        if self._agens is not None:
-            return self._agens
-        ident = self.aut.identity_index
-        gens = [ident] if self.N == 1 else []
-        rng = random.Random(f"{self.seed_base}:whole-group")
-        mask, size = np.arange(self.N) == ident, 1
-        while size < self.N:
-            if len(gens) == _MAX_GENERATOR_TRIES:
-                raise AssertionError(f"could not generate subgroup of size {self.N}")
-            outside = np.flatnonzero(~mask)
-            gens.append(int(outside[rng.randrange(len(outside))]))
-            mask, size = self.closure_mask(gens)
-        self._agens = gens
-        return gens
+        if self._agens is None:
+            members = np.arange(self.N, dtype=np.int32)
+            self._agens = self.find_generators(members, self.tables.T, "whole-group")
+        return self._agens
 
     def centralizer_mask(self, f: int) -> np.ndarray:
         """Members m with f m == m f, compared on the generator images."""
@@ -556,9 +557,7 @@ def _local_class_labels(
     h_pos = int(np.searchsorted(members, h))
     perms = []
     for g in cgens:
-        gtab = ctx.tables[g]
-        cols = _inverse_perm(gtab)[ctx.gen_pos]
-        glob = ctx.aut.lookup_images(gtab[cols_c[cols]].T)
+        glob = _member_products(ctx, cols_c, g, conjugate=True)
         # every generator must fix h's position: g h g^-1 == h, and then
         # conjugation by g maps C(h) onto itself
         if glob[h_pos] != h:
@@ -750,9 +749,11 @@ def enumerate_counts(
     try:
         with contextlib.ExitStack() as stack:
             mapped = map(_run_class, class_reps)
-            if jobs > 1 and len(class_reps) > 1 and hasattr(os, "fork"):
+            # a fork pool starts all its workers at once: at most one per class and core
+            workers = min(jobs, len(class_reps), os.cpu_count() or 1)
+            if workers > 1 and hasattr(os, "fork"):
                 mp = multiprocessing.get_context("fork")
-                ex = stack.enter_context(ProcessPoolExecutor(max_workers=jobs, mp_context=mp))
+                ex = stack.enter_context(ProcessPoolExecutor(max_workers=workers, mp_context=mp))
                 mapped = ex.map(_run_class, class_reps, chunksize=1)
             for res in mapped:
                 results.append(res)

@@ -97,17 +97,9 @@ def load_fixture(path: str | Path | None = None):
     Returns (group_rows, order_rows); group rows are keyed by descriptor,
     order rows carry only the totals.
     """
-    if path is None:
-        groups_text = (
-            resources.files("centralq").joinpath("data/reference_groups.csv").read_text()
-        )
-        orders_text = (
-            resources.files("centralq").joinpath("data/reference_orders.csv").read_text()
-        )
-    else:
-        base = Path(path)
-        groups_text = (base / "reference_groups.csv").read_text()
-        orders_text = (base / "reference_orders.csv").read_text()
+    base = resources.files("centralq") / "data" if path is None else Path(path)
+    groups_text = (base / "reference_groups.csv").read_text()
+    orders_text = (base / "reference_orders.csv").read_text()
 
     group_rows = []
     for rec in csv.DictReader(io.StringIO(groups_text)):
@@ -441,7 +433,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.jobs < 1:
+        parser.error(f"argument --jobs: must be at least 1, got {args.jobs}")
     level = logging.WARNING
     if args.verbose == 1:
         level = logging.INFO

@@ -370,11 +370,13 @@ def classify_representatives(
 
     aut = aut_group(group, budget=budget)
     counts = _engine.enumerate_counts(group, aut, jobs=jobs, collect=True)
-    triples = []
+    triples, medial = [], 0
     for res in counts.class_results:
         phi = aut.member(res.rep)
-        for m, r, _medial in res.triples:
+        for m, r, md in res.triples:
             triples.append(AffineTriple(group, phi, aut.member(m), group.element_at(r)))
-    if len(triples) != counts.cq:
+            medial += md
+    counted = _engine.enumerate_counts(group, aut, jobs=jobs)
+    if (len(triples), medial) != (counted.cq, counted.mq):
         raise AssertionError("classification does not match the counted classes")
     return triples

@@ -73,6 +73,14 @@ def test_usage_error_exit_code(capsys):
     assert info.value.code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_a_usage_error(capsys, jobs):
+    with pytest.raises(SystemExit) as info:
+        main(["count", "--group", "C2xC2", "--jobs", jobs, "--no-cache"])
+    assert info.value.code == EXIT_USAGE
+    assert f"argument --jobs: must be at least 1, got {jobs}" in capsys.readouterr().err
+
+
 def test_budget_exit_code(capsys):
     code, _, err = run(capsys, "count", "--group", "C2^6", "--no-cache")
     assert code == EXIT_RESOURCE
@@ -84,7 +92,9 @@ def test_broken_worker_pool_exit_code(capsys, monkeypatch):
 
     from centralq import _engine
 
-    # forked workers inherit the patch and die as if killed for memory
+    # two cores, so the pool runs; forked workers inherit the patch and die
+    # as if killed for memory
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(_engine, "count_class", lambda *args: os._exit(9))
     code, _, err = run(capsys, "count", "--group", "C2xC2", "--jobs", "2", "--no-cache")
     assert code == EXIT_RESOURCE

@@ -164,6 +164,25 @@ def test_local_generator_search_matches_the_closure_search(desc, proper):
     assert checked == proper
 
 
+@pytest.mark.parametrize("desc", ["C2^4", "C3^3", "C11xC11", "C4xC4xC4", "C4xC4xC2xC2"])
+def test_whole_group_search_matches_the_closure_search(desc):
+    g = parse_group(desc)
+    A = aut_group(g)
+    ctx = EngineContext(g, A)
+    assert ctx.agens == closure_generators(ctx, np.arange(len(A)), len(A), "whole-group")
+
+
+def test_counting_never_runs_the_reference_closure(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("closure_mask called while counting")
+
+    g = parse_group("C4xC2xC2")
+    monkeypatch.setattr(EngineContext, "closure_mask", refuse)
+    A = aut_group(g)
+    assert _fields(enumerate_counts(g, A)) == (13, 564, 146, 820, 150)
+    assert _fields(enumerate_counts(g, A, collect=True)) == (13, 564, 146, 820, 150)
+
+
 def test_generator_search_refuses_an_unclosed_pool():
     g = parse_group("C3xC3")
     A = aut_group(g)
@@ -309,12 +328,12 @@ def test_group_totals_must_divide_by_the_group_order(monkeypatch):
         enumerate_counts(g, A)
 
 
-def _triples(desc):
+def _triples(desc, jobs=1):
     g = parse_group(desc)
     A = aut_group(g)
     return [
         (A.index_of(t.phi), A.index_of(t.psi), g.index_of(t.c), t.medial)
-        for t in classify_representatives(g)
+        for t in classify_representatives(g, jobs=jobs)
     ]
 
 
@@ -327,6 +346,69 @@ def test_classification_is_unchanged():
     ]
     digest = hashlib.md5(repr(_triples("C3xC3")).encode()).hexdigest()
     assert digest == "bf27bd27e63eb0ab76b5bde056e1be8d"
+
+
+def test_classification_through_the_pool_is_unchanged(monkeypatch):
+    monkeypatch.setattr(_engine.os, "cpu_count", lambda: 2)
+    digest = hashlib.md5(repr(_triples("C3xC3", jobs=2)).encode()).hexdigest()
+    assert digest == "bf27bd27e63eb0ab76b5bde056e1be8d"
+
+
+def test_classification_is_checked_against_the_count_route(monkeypatch):
+    real = _engine.process_class
+    dropped = []
+
+    def one_less(ctx, f):
+        res = real(ctx, f)
+        if dropped or len(res.triples) < 2:
+            return res
+        dropped.append(f)
+        # consistent with itself: one triple and one class fewer
+        return dataclasses.replace(res, triples=res.triples[1:], cq=res.cq - 1)
+
+    monkeypatch.setattr(_engine, "process_class", one_less)
+    with pytest.raises(AssertionError, match="classification does not match"):
+        classify_representatives(parse_group("C3xC3"))
+    assert dropped
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size and maps in-process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers, mp_context):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize(
+    "jobs, cores, workers",
+    [
+        (100_000, 2, 2),  # capped by the cores
+        (100_000, 64, 8),  # capped by the 8 classes
+        (3, 64, 3),
+        (2, None, None),  # unknown core count: one process, no pool
+        (1, 64, None),
+    ],
+)
+def test_pool_size_is_capped(monkeypatch, jobs, cores, workers):
+    g = parse_group("C3xC3")
+    A = aut_group(g)
+    serial = _fields(enumerate_counts(g, A))
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(_engine, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_engine.os, "cpu_count", lambda: cores)
+    assert _fields(enumerate_counts(g, A, jobs=jobs)) == serial
+    assert _RecordingPool.sizes == ([] if workers is None else [workers])
 
 
 def test_burnside_identity_is_checked(monkeypatch):
