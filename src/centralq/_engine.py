@@ -1,7 +1,7 @@
 """Array-based orbit machinery behind the per-group enumeration.
 
 Everything here works on integer indices: group elements are element
-indices, automorphisms are member indices into an AutGroup's table array,
+indices, automorphisms are member indices into an AutGroup's image array,
 and orbit partitions are computed by min-label propagation over
 permutation arrays (with pointer jumping), which stays fast for member
 counts in the millions.
@@ -19,7 +19,11 @@ multiplication by a candidate is a permutation of local positions, and
 the subgroup generated so far grows by a breadth-first sweep of those),
 its classes by conjugation restricted to those positions, and C(f) ∩ C(h)
 for a run of terms f by one array pass over C(h).  agens and conj_perm
-are the same search and conjugation over all of Aut(G)'s members.
+are the same search and conjugation over all of Aut(G)'s members, whose
+values they evaluate from the generator images: the Aut-wide stages
+(generators, conjugation, class labels) never build the N x n action
+tables, which the per-class routes read.  enumerate_counts builds them
+once, before a pool forks.
 
 process_class builds the pair space of one representative and labels its
 orbits; it serves the explicit classification, which needs one point per
@@ -66,6 +70,9 @@ _CHUNK_ROWS = 1 << 19
 # memory; a single larger term is joined in slices of _CHUNK_ROWS rows
 _MEDIAL_ROWS = 1 << 16
 _MAX_GENERATOR_TRIES = 64
+# members per pass of _member_products: its int64 keys then stay in cache
+# (three conjugations on Aut(C2^5): 1.0 s at 2^16 rows, 1.7 s at 2^19)
+_PRODUCT_ROWS = 1 << 16
 
 
 def _inverse_perm(p: np.ndarray) -> np.ndarray:
@@ -100,18 +107,25 @@ def _orbit_min_labels(gens: list[np.ndarray], count: int) -> np.ndarray:
             return labels
 
 
-def _member_products(ctx: EngineContext, cols: np.ndarray, g: int, conjugate=False) -> np.ndarray:
+def _member_products(
+    ctx: EngineContext, cols: np.ndarray | None, g: int, conjugate=False
+) -> np.ndarray:
     """Member indices of m g, or of g m g^-1 if conjugate, for every m of a member list.
 
     cols is the list's tables transposed (row x holds m(x) for every member
-    m); each product is read from its generator images.
+    m), or None for the whole group, whose values are evaluated from the
+    generator images instead, so the N x n tables are never read.  A C(h)
+    list keeps its cols: evaluating those from the images too cost the
+    fixture sweep about 11 % of its wall time.  Each product is looked up
+    by its generator images.
     """
-    gtab = ctx.tables[g]
+    gtab = ctx.aut.member_table(g)
     right = (_inverse_perm(gtab) if conjugate else gtab)[ctx.gen_pos]
-    out = np.empty(cols.shape[1], dtype=np.int64)
-    for lo in range(0, len(out), _CHUNK_ROWS):
-        img = cols[right, lo : lo + _CHUNK_ROWS]
-        out[lo : lo + _CHUNK_ROWS] = ctx.aut.lookup_images((gtab[img] if conjugate else img).T)
+    out = np.empty(ctx.N if cols is None else cols.shape[1], dtype=np.int64)
+    for lo in range(0, len(out), _PRODUCT_ROWS):
+        hi = min(lo + _PRODUCT_ROWS, len(out))
+        img = ctx.aut.evaluate(right, lo, hi) if cols is None else cols[right, lo:hi]
+        out[lo:hi] = ctx.aut.lookup_images(img.T, after=gtab if conjugate else None)
     return out
 
 
@@ -227,7 +241,6 @@ class EngineContext:
         self.group = group
         self.aut = aut
         self.N = len(aut)
-        self.tables = aut.tables
         self.images = aut.images
         self.gen_pos = aut.gen_pos
         self.seed_base = f"enumeration:{group.descriptor}"
@@ -236,14 +249,19 @@ class EngineContext:
         self._class_labels: np.ndarray | None = None
         self._centralizers: dict[int, np.ndarray] = {}
 
+    @property
+    def tables(self) -> np.ndarray:
+        """Aut(G)'s action tables, built on first read; per-class work reads them."""
+        return self.aut.tables
+
     # -- member-space primitives -------------------------------------------
 
     def inverse_table(self, h: int) -> np.ndarray:
-        return _inverse_perm(self.tables[h])
+        return _inverse_perm(self.aut.member_table(h))
 
     def conj_perm(self, h: int) -> np.ndarray:
         """Member permutation m -> h m h^-1, found from generator images alone."""
-        return _member_products(self, self.tables.T, h, conjugate=True)
+        return _member_products(self, None, h, conjugate=True)
 
     def closure_mask(self, gens: list[int]) -> tuple[np.ndarray, int]:
         """Members generated by gens, as a mask over member indices (the tests' reference)."""
@@ -268,11 +286,14 @@ class EngineContext:
             frontier = np.concatenate(new) if new else np.empty(0, np.int64)
         return mask, size
 
-    def find_generators(self, members: np.ndarray, cols: np.ndarray, seed: str) -> list[int]:
+    def find_generators(
+        self, members: np.ndarray, cols: np.ndarray | None, seed: str
+    ) -> list[int]:
         """A small generating set for a subgroup given by its member list.
 
         members is the sorted member-index list and cols their tables
-        transposed (row x holds m(x) for every member m).  Random members
+        transposed (row x holds m(x) for every member m), or None when
+        members is the whole group (see _member_products).  Random members
         outside the subgroup generated so far are added until it is all of
         members; each addition at least doubles it, so 64 tries cover any
         group.  The search never leaves the member list: right
@@ -314,11 +335,12 @@ class EngineContext:
     def agens(self) -> list[int]:
         """A reduced generating set for the whole automorphism group.
 
-        find_generators over the whole group's member list, computed once.
+        find_generators over the whole group's member list, computed once,
+        with every product evaluated from the generator images.
         """
         if self._agens is None:
             members = np.arange(self.N, dtype=np.int32)
-            self._agens = self.find_generators(members, self.tables.T, "whole-group")
+            self._agens = self.find_generators(members, None, "whole-group")
         return self._agens
 
     def centralizer_mask(self, f: int) -> np.ndarray:
@@ -384,7 +406,7 @@ def _coset_data(ctx: EngineContext, f: int) -> np.ndarray:
     """
     reg = ctx.subgroups
     gp = ctx.gen_pos
-    d1 = reg.sub[gp, ctx.tables[f][gp]]  # g - f(g) per canonical generator g
+    d1 = reg.sub[gp, ctx.images[f]]  # g - f(g) per canonical generator g
     t = reg.sub[d1, ctx.images]  # (N, rank): g - f(g) - m(g)
     s = np.zeros(ctx.N, dtype=np.int32)
     for i in range(t.shape[1]):
@@ -414,9 +436,10 @@ def _transport_table(ctx: EngineContext, family: np.ndarray, h: int) -> np.ndarr
 def _centralizer(ctx: EngineContext, f: int) -> tuple[np.ndarray, np.ndarray | None, list[int]]:
     """C(f) for a per-class route: members, transposed tables and generators.
 
-    members is C(f)'s cached sorted member list, cols their tables
-    transposed (row x holds m(x) for every member m), or None when C(f)
-    is all of Aut, whose generators are agens.
+    members is C(f)'s cached sorted member list, cols their rows of the
+    action tables transposed (row x holds m(x) for every member m), or None
+    when C(f) is all of Aut, whose generators are agens and whose values
+    are evaluated from the generator images (see _member_products).
     """
     members = ctx.centralizer_members(f)
     c_size = len(members)
@@ -669,7 +692,7 @@ def count_class(ctx: EngineContext, h: int) -> ClassTerms:
 
     # T = Im(h - 1), spanned by (h - 1)g over the canonical generators g
     s = np.zeros(1, dtype=np.int32)
-    for x in reg.sub[tab[h][gp], gp]:
+    for x in reg.sub[ctx.images[h], gp]:
         s = reg.join(s, np.asarray([x]))
     t_h = int(s[0])
     kernel = int(reg.counts[t_h])  # |ker(h - 1)| = [G : T]
@@ -739,7 +762,16 @@ def enumerate_counts(
     class_labels = ctx.class_labels
     reps = np.flatnonzero(class_labels == np.arange(ctx.N, dtype=class_labels.dtype))
     class_reps = [int(r) for r in reps]
-    log.info("%s: |Aut|=%d, %d conjugacy classes", group.descriptor, ctx.N, len(class_reps))
+    # the per-class routes read the action tables: built here, before a pool
+    # forks, the workers share the parent's one copy
+    tables_mb = ctx.tables.nbytes / 1e6
+    log.info(
+        "%s: |Aut|=%d, %d conjugacy classes, %.0f MB of tables",
+        group.descriptor,
+        ctx.N,
+        len(class_reps),
+        tables_mb,
+    )
 
     global _WORKER_CTX, _WORKER_COLLECT
     _WORKER_CTX = ctx

@@ -3,14 +3,18 @@
 An endomorphism is stored as one integer matrix per prime component
 (column j describes the image of the j-th generator of that component;
 maps between components of different primes are always zero).  The full
-automorphism group is materialized as an array of action tables, one row
-per automorphism, which keeps group-sized orbit computations cheap.
+automorphism group is held as an array of generator images, one row of
+rank element indices per automorphism, which keeps group-sized orbit
+computations cheap: a member's value at any element is a sum of scalar
+multiples of its images.  The array of action tables, one row of n
+element indices per automorphism, is built from the closure's links only
+when per-class work first reads it.
 
-Aut(G) is built one way for every group: a breadth-first closure from
-the elementary matrices (unit scalings and minimal transvections) of each
-prime component, embedded with identity blocks on the other primes.  Each
-round's new members are ordered by key, and the closure must reach
-exactly the order given by the |Aut| formula.
+Aut(G) is built one way for every group: a breadth-first closure over
+generator images from the elementary matrices (unit scalings and minimal
+transvections) of each prime component, embedded with identity blocks on
+the other primes.  Each round's new members are ordered by key, and the
+closure must reach exactly the order given by the |Aut| formula.
 
 An automorphism is determined by the images of the rank canonical
 generators, and generator i can only map into a known finite set of
@@ -28,6 +32,7 @@ C2^5, against 320 MB of tables.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -346,7 +351,7 @@ def _keys_of_images(codes: np.ndarray, images: np.ndarray) -> np.ndarray:
     """Dense keys of (rows, rank) generator images; keys >= space are illegal."""
     keys = np.zeros(len(images), dtype=np.int64)
     for i in range(len(codes)):
-        keys += codes[i][images[:, i]]
+        keys += codes[i].take(images[:, i])
     return keys
 
 
@@ -360,98 +365,224 @@ def _generators(group: AbelianGroup) -> list[Endomorphism]:
     return gens
 
 
-def _tables_by_closure(gp: AbelianGroup, gen_tables: list[np.ndarray], expected: int) -> np.ndarray:
-    """Grow the group from generator tables by breadth-first closure.
+# entries of one replay gather: small enough for its int64 index array to
+# stay in cache (2^17 entries took 0.65 s on C5^3's tables, 2^22 1.2 s)
+_REPLAY_ENTRIES = 1 << 17
 
-    Each round's new members are ordered by key, so a member's index does
-    not depend on which generator reached it first.
+
+@dataclass
+class _ClosureLinks:
+    """How the closure reached each member, kept to build the tables later.
+
+    Member m > 0 is generator via[m] applied after member parent[m], which
+    lies in an earlier round; rounds[r] is the first member of round r.
+    """
+
+    gen_tables: list[np.ndarray]
+    parent: np.ndarray
+    via: np.ndarray
+    rounds: list[int]
+
+    def replay(self, gp: AbelianGroup) -> np.ndarray:
+        """The (members, n) action tables: tables[m] = gen_tables[via[m]][tables[parent[m]]].
+
+        Rounds are filled in order, so every parent row exists before it is
+        read, and each entry is one gather from the stacked generator tables.
+        """
+        n = gp.order
+        tables = np.empty((len(self.parent), n), dtype=gp.index_dtype)
+        tables[0] = np.arange(n)
+        if not self.gen_tables:  # the identity is all
+            return tables
+        stacked = np.concatenate(self.gen_tables)
+        step = max(1, _REPLAY_ENTRIES // n)
+        for a, b in zip(self.rounds[1:-1], self.rounds[2:]):
+            for lo in range(a, b, step):
+                hi = min(lo + step, b)
+                idx = np.take(tables, self.parent[lo:hi], axis=0).astype(np.intp)
+                idx += self.via[lo:hi, None].astype(np.intp) * n
+                np.take(stacked, idx, out=tables[lo:hi])
+        return tables
+
+
+def _images_by_closure(
+    gp: AbelianGroup, gen_tables: list[np.ndarray], expected: int
+) -> tuple[np.ndarray, _ClosureLinks]:
+    """Grow the group's generator images from generator tables by breadth-first closure.
+
+    A member is its rank generator images, and generator g applied after
+    member m has images g[m's images].  Their keys are read through the key
+    codes composed with g, so g's images are gathered only for the
+    products not seen before.  Each round's new members are ordered by
+    key, so a member's index does not depend on which generator reached it
+    first.  The images are column-major: every pass over them
+    (keys, evaluation, centralizer tests) reads one generator's column.
     """
     gen_pos = np.asarray(gp._strides, dtype=np.int64)
     codes, space = _image_codes(gp)
-    tables = np.empty((expected, gp.order), dtype=gp.index_dtype)
-    tables[0] = identity(gp).table
+    gen_codes = [codes[:, g] for g in gen_tables]
+    images = np.empty((expected, gp.rank), dtype=gp.index_dtype, order="F")
+    images[0] = gen_pos
+    parent = np.zeros(expected, dtype=np.int32 if expected <= 2**31 else np.int64)
+    via = np.zeros(expected, dtype=np.min_scalar_type(max(len(gen_tables) - 1, 0)))
     seen = np.zeros(space, dtype=bool)
-    seen[_keys_of_images(codes, tables[:1, gen_pos])] = True
-    lo, hi = 0, 1
+    seen[_keys_of_images(codes, images[:1])] = True
+    rounds = [0, 1]
     # with no generators (Aut(C2), the trivial group) the identity is all
-    while lo < hi and gen_tables:
-        frontier = tables[lo:hi]
-        frontier_images = frontier[:, gen_pos]
-        # one generator at a time keeps the transient arrays bounded; the
-        # full rows are gathered only for the members not seen before
-        round_rows, round_keys = [], []
-        for g in gen_tables:
-            keys = _keys_of_images(codes, g[frontier_images])
-            fresh = ~seen[keys]
+    while rounds[-2] < rounds[-1] and gen_tables:
+        lo, hi = rounds[-2], rounds[-1]
+        frontier = images[lo:hi]
+        round_images, round_keys, round_parents, round_vias = [], [], [], []
+        for j, (g, g_codes) in enumerate(zip(gen_tables, gen_codes)):
+            keys = _keys_of_images(g_codes, frontier)
+            fresh = np.flatnonzero(~seen[keys])
             keys = keys[fresh]
             seen[keys] = True
-            round_rows.append(g[frontier[fresh]])
+            round_images.append(g[frontier[fresh]])
             round_keys.append(keys)
+            round_parents.append(fresh + lo)
+            round_vias.append(np.full(len(fresh), j, dtype=via.dtype))
         keys = np.concatenate(round_keys)
-        if hi + len(keys) > expected:
+        end = hi + len(keys)
+        if end > expected:
             raise AssertionError("closure overshot the predicted group order")
         order = np.argsort(keys)
-        tables[hi : hi + len(keys)] = np.concatenate(round_rows, axis=0)[order]
-        lo, hi = hi, hi + len(keys)
-    if hi != expected:
+        images[hi:end] = np.concatenate(round_images, axis=0)[order]
+        parent[hi:end] = np.concatenate(round_parents)[order]
+        via[hi:end] = np.concatenate(round_vias)[order]
+        rounds.append(end)
+    if rounds[-1] != expected:
         raise AssertionError(
             f"generating set incomplete for {gp.descriptor}: "
-            f"closure size {hi} != |Aut| = {expected}"
+            f"closure size {rounds[-1]} != |Aut| = {expected}"
         )
-    return tables
+    return images, _ClosureLinks(gen_tables, parent, via, rounds)
 
 
 class AutGroup:
     """The full automorphism group of a finite abelian group.
 
-    Members are stored as an array of action tables (row m is the
-    permutation of element indices induced by member m).  Member objects
+    A member is fixed by the images of the canonical generators: `images`
+    holds them as a column-major (members, rank) array, and member objects
     are materialized lazily; indices are the primary handle elsewhere.
-
-    A member is fixed by the images of the canonical generators, so it is
-    looked up by them alone: `images` holds the (members, rank) generator
-    columns of the tables, each row maps to a dense mixed-radix key (see
-    `_image_codes`), and `index` maps every key to its member index, or -1
-    for a legal-looking image tuple that is no automorphism.  The key space
-    is the number of legal matrices.  For every group of order up to
-    256 whose |Aut| is within the default budget it is at most 12 times
-    |Aut|, so the int32 index stays below 48 bytes per member: 2^25 entries
+    Each row maps to a dense mixed-radix key (see `_image_codes`), and
+    `index` maps every key to its member index, or -1 for a
+    legal-looking image tuple that is no automorphism.  The key space is
+    the number of legal matrices.  For every group of order up to 256
+    whose |Aut| is within the default budget it is at most 12 times |Aut|,
+    so the int32 index stays below 48 bytes per member: 2^25 entries
     (134 MB) for C2^5, 5^9 (8 MB) for C5^3.
+
+    A member's value at any element is evaluated from its images
+    (`member_table`, `evaluate`).  The (members, n) action tables, row m
+    the permutation of element indices induced by member m, are built only
+    when `tables` is first read, by replaying the closure's links; the
+    links are released then.  Aut-wide work (generators, conjugation,
+    class labels) never reads them; per-class work does.
     """
 
-    def __init__(self, group: AbelianGroup, tables: np.ndarray):
+    def __init__(self, group: AbelianGroup, images: np.ndarray, links: _ClosureLinks):
         self.group = group
-        self.tables = tables
-        self.tables.setflags(write=False)
-        self.gen_pos = np.asarray(group._strides, dtype=np.int64)
-        self.images = tables[:, self.gen_pos]
+        self.images = images
         self.images.setflags(write=False)
+        self._links = links
+        self.gen_pos = np.asarray(group._strides, dtype=np.int64)
         self._codes, space = _image_codes(group)
         keys = self.keys
         self.index = np.full(space, -1, dtype=np.int32)
-        self.index[keys] = np.arange(len(tables), dtype=np.int32)
-        if not np.array_equal(self.index[keys], np.arange(len(tables))):
+        self.index[keys] = np.arange(len(images), dtype=np.int32)
+        if not np.array_equal(self.index[keys], np.arange(len(images))):
             raise AssertionError("duplicate members in automorphism group")
         self.index.setflags(write=False)
         self.identity_index = self.index_of_table(identity(group).table)
 
     def __len__(self):
-        return len(self.tables)
+        return len(self.images)
 
     def __repr__(self):
         return f"<AutGroup of {self.group.descriptor}, order {len(self)}>"
+
+    @cached_property
+    def tables(self) -> np.ndarray:
+        """(members, n) action tables, replayed from the closure on first read."""
+        tables = self._links.replay(self.group)
+        tables.setflags(write=False)
+        self._links = None
+        return tables
+
+    @cached_property
+    def _arithmetic(self):
+        """The sum of two element-index arrays, and the table mul[c, x] = c x (c below the largest modulus)."""
+        g = self.group
+        mods = max(g.moduli, default=1)
+        mul = np.stack([g.pack_coords(c * g.coords_array) for c in range(mods)]).astype(g.index_dtype)
+        if g.order & (g.order - 1) == 0:
+            # a 2-group's element index is one bit field per coordinate: add
+            # the fields below their top bits, then xor the top bits in (a
+            # tenth of the add-table gather's time on C2^5)
+            top = g.index_dtype(sum(m // 2 * s for m, s in zip(g.moduli, g._strides)))
+            low = g.index_dtype(g.order - 1 - top)
+
+            def plus(a, b):
+                return ((a & low) + (b & low)) ^ ((a ^ b) & top)
+
+        else:
+            add = g.add_table.ravel()
+
+            def plus(a, b):
+                idx = np.multiply(a, g.order, dtype=np.intp)
+                idx += b
+                return add.take(idx)
+
+        return plus, mul
+
+    def member_table(self, i: int) -> np.ndarray:
+        """Action table of member i: its row once `tables` is built, else evaluated from its images."""
+        if "tables" in vars(self):
+            return self.tables[int(i)]
+        g = self.group
+        plus, mul = self._arithmetic
+        out = np.zeros(g.order, dtype=g.index_dtype)
+        for j, v in enumerate(self.images[int(i)]):
+            out = plus(out, mul[g.coords_array[:, j], v])
+        return out
+
+    def evaluate(self, ys, lo: int, hi: int) -> np.ndarray:
+        """(len(ys), hi - lo) array of m(y) for each element y and member m in [lo, hi).
+
+        m(y) is the sum over y's non-zero coordinates c_j of c_j m(e_j):
+        one gather from the scalar-multiple table per coordinate above 1,
+        and one sum per further coordinate.
+        """
+        g = self.group
+        plus, mul = self._arithmetic
+        cols = self.images[lo:hi]
+        out = np.zeros((len(ys), len(cols)), dtype=g.index_dtype)
+        for r, y in enumerate(ys):
+            acc = None
+            for j, c in enumerate(g.coords_array[int(y)]):
+                if c:
+                    term = cols[:, j] if c == 1 else mul[c].take(cols[:, j])
+                    acc = term if acc is None else plus(acc, term)
+            if acc is not None:
+                out[r] = acc
+        return out
 
     @property
     def keys(self) -> np.ndarray:
         """Dense key of every member, in member order."""
         return _keys_of_images(self._codes, self.images)
 
-    def lookup_images(self, images: np.ndarray) -> np.ndarray:
-        """Member indices of (rows, rank) generator images; raises if any row is foreign."""
-        keys = _keys_of_images(self._codes, images)
+    def lookup_images(self, images: np.ndarray, after: np.ndarray | None = None) -> np.ndarray:
+        """Member indices of (rows, rank) generator images; raises if any row is foreign.
+
+        With an action table `after`, the images looked up are after[images],
+        mapped inside the key codes instead of element by element.
+        """
+        keys = _keys_of_images(self._codes if after is None else self._codes[:, after], images)
         if len(keys) and int(keys.max()) >= len(self.index):
             raise KeyError("some rows are not members of this automorphism group")
-        out = self.index[keys]
+        out = self.index.take(keys)
         if len(out) and int(out.min()) < 0:
             raise KeyError("some rows are not members of this automorphism group")
         return out.astype(np.int64)
@@ -480,8 +611,7 @@ class AutGroup:
 
     def member(self, i: int) -> Endomorphism:
         g = self.group
-        row = self.tables[int(i)]
-        images = [g.element_at(int(row[s])) for s in g._strides] if g.factors else []
+        images = [g.element_at(int(v)) for v in self.images[int(i)]]
         return endo_from_gen_images(g, images)
 
     @cached_property
@@ -514,5 +644,5 @@ def aut_group(group: AbelianGroup, budget: int | None = DEFAULT_AUT_BUDGET) -> A
     expected = aut_group_order(group)
     if budget is not None and expected > budget:
         raise ResourceLimitError(group, expected, budget)
-    tables = _tables_by_closure(group, [f.table for f in _generators(group)], expected)
-    return AutGroup(group, tables)
+    images, links = _images_by_closure(group, [f.table for f in _generators(group)], expected)
+    return AutGroup(group, images, links)

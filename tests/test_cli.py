@@ -81,6 +81,22 @@ def test_jobs_below_one_is_a_usage_error(capsys, jobs):
     assert f"argument --jobs: must be at least 1, got {jobs}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_budget_below_one_is_a_usage_error(capsys, budget):
+    with pytest.raises(SystemExit) as info:
+        main(["count", "--group", "C2xC2", "--aut-budget", budget, "--no-cache"])
+    assert info.value.code == EXIT_USAGE
+    assert f"argument --aut-budget: must be at least 1, got {budget}" in capsys.readouterr().err
+
+
+def test_budget_env_var_below_one_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("CENTRALQ_AUT_BUDGET", "-5")
+    with pytest.raises(SystemExit) as info:
+        main(["count", "--group", "C2xC2", "--no-cache"])
+    assert info.value.code == EXIT_USAGE
+    assert "argument --aut-budget: must be at least 1, got -5" in capsys.readouterr().err
+
+
 def test_budget_exit_code(capsys):
     code, _, err = run(capsys, "count", "--group", "C2^6", "--no-cache")
     assert code == EXIT_RESOURCE

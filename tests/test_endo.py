@@ -346,3 +346,42 @@ def test_lookup_rejects_illegal_generator_image(desc, gen, image):
         A.lookup_tables(row[None, :])
     with pytest.raises(KeyError):
         A.index_of_table(row)
+
+
+def test_images_are_column_major():
+    # every pass over the images reads one generator's column; with
+    # row-major images, centralizer_mask over C4xC4xC2xC2's 100 classes took
+    # 0.97 s instead of 0.40 s, as np.all(axis=1) reduced a length-k inner axis
+    assert aut_group(parse_group("C4xC4xC2xC2")).images.flags.f_contiguous
+
+
+def test_tables_are_replayed_on_first_read():
+    A = aut_group(parse_group("C3^3"))
+    assert "tables" not in vars(A)
+    sample = range(0, len(A), 97)
+    rows = [A.member_table(i) for i in sample]
+    tables = A.tables
+    assert A._links is None  # the replay links are released with the tables
+    assert tables is A.tables and not tables.flags.writeable
+    assert all(np.array_equal(r, tables[i]) for r, i in zip(rows, sample))
+
+
+# C8xC4xC2 sums by bit fields (a 2-group), the others through the add table
+@pytest.mark.parametrize("desc", ["C8xC4xC2", "C4xC2xC3", "C9xC3", "C2", "C1"])
+def test_members_and_evaluation_match_the_tables(desc):
+    g = parse_group(desc)
+    A = aut_group(g)
+    points = np.arange(g.order)
+    values = A.evaluate(points, 0, len(A))  # (points, members), from the images
+    for i in range(len(A)):
+        assert np.array_equal(A.member(i).table, A.tables[i])
+    assert np.array_equal(values, A.tables.T)
+    assert np.array_equal(A.evaluate(points[-2:], 1, len(A)), A.tables[1:, -2:].T)
+
+
+def test_duplicate_members_are_refused():
+    A = aut_group(parse_group("C2xC2"))
+    images = A.images.copy(order="F")
+    images[1] = images[0]
+    with pytest.raises(AssertionError, match="duplicate members"):
+        endo_mod.AutGroup(A.group, images, A._links)

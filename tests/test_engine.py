@@ -435,6 +435,42 @@ def test_progress_is_logged_per_class_in_the_pool(caplog):
     assert done == [(i, k) for i in range(1, k + 1)]
 
 
+def test_aut_wide_stages_never_build_the_tables(monkeypatch):
+    from centralq import endo
+
+    def refuse(links, group):
+        raise AssertionError("the action tables were built")
+
+    A = aut_group(parse_group("C3^3"))
+    monkeypatch.setattr(endo._ClosureLinks, "replay", refuse)
+    reps = conjugacy_class_reps(A).representatives
+    ctx = EngineContext(A.group, A)
+    assert len(ctx.agens) > 0
+    assert sorted(ctx.conj_perm(reps[-1]).tolist()) == list(range(len(A)))
+    assert A.member(reps[-1]).table.tolist() == ctx.inverse_table(reps[-1]).argsort().tolist()
+    assert "tables" not in vars(A)
+
+
+def test_enumerate_counts_builds_the_tables_before_forking(monkeypatch):
+    import os
+
+    g = parse_group("C3xC3")
+    A = aut_group(g)
+    built_at_fork = []
+
+    class Pool(_engine.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built_at_fork.append("tables" in vars(A))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(_engine, "ProcessPoolExecutor", Pool)
+    enumerate_counts(g, A, jobs=2)
+    # the workers inherit the parent's one copy instead of each building its own
+    assert built_at_fork == [True]
+    assert "tables" in vars(A)
+
+
 @pytest.mark.parametrize("desc", ["C2^3", "C3xC3", "C4xC4", "C4xC2xC2", "C4xC2xC3"])
 def test_per_class_pair_orbits_match_the_oracle(desc):
     g = parse_group(desc)
