@@ -71,7 +71,7 @@ _CHUNK_ROWS = 1 << 19
 _MEDIAL_ROWS = 1 << 16
 _MAX_GENERATOR_TRIES = 64
 # members per pass of _member_products: its int64 keys then stay in cache
-# (three conjugations on Aut(C2^5): 1.0 s at 2^16 rows, 1.7 s at 2^19)
+# (three conjugations on Aut(C2^5): 2.4-2.6 s at 2^16 rows, 2.8-2.9 s at 2^19)
 _PRODUCT_ROWS = 1 << 16
 
 
@@ -125,7 +125,7 @@ def _member_products(
     for lo in range(0, len(out), _PRODUCT_ROWS):
         hi = min(lo + _PRODUCT_ROWS, len(out))
         img = ctx.aut.evaluate(right, lo, hi) if cols is None else cols[right, lo:hi]
-        out[lo:hi] = ctx.aut.lookup_images(img.T, after=gtab if conjugate else None)
+        out[lo:hi] = ctx.aut.lookup_images((gtab[img] if conjugate else img).T)
     return out
 
 

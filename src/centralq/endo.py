@@ -7,8 +7,8 @@ automorphism group is held as an array of generator images, one row of
 rank element indices per automorphism, which keeps group-sized orbit
 computations cheap: a member's value at any element is a sum of scalar
 multiples of its images.  The array of action tables, one row of n
-element indices per automorphism, is built from the closure's links only
-when per-class work first reads it.
+element indices per automorphism, is evaluated from the images only when
+per-class work first reads it.
 
 Aut(G) is built one way for every group: a breadth-first closure over
 generator images from the elementary matrices (unit scalings and minimal
@@ -32,7 +32,6 @@ C2^5, against 320 MB of tables.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -365,49 +364,12 @@ def _generators(group: AbelianGroup) -> list[Endomorphism]:
     return gens
 
 
-# entries of one replay gather: small enough for its int64 index array to
-# stay in cache (2^17 entries took 0.65 s on C5^3's tables, 2^22 1.2 s)
-_REPLAY_ENTRIES = 1 << 17
+# entries of one chunk of the table build: its intp block indices then stay
+# in cache (Aut(C5^3)'s tables: 0.71 s at 2^19 entries, 1.5 s at 2^15)
+_TABLE_ENTRIES = 1 << 19
 
 
-@dataclass
-class _ClosureLinks:
-    """How the closure reached each member, kept to build the tables later.
-
-    Member m > 0 is generator via[m] applied after member parent[m], which
-    lies in an earlier round; rounds[r] is the first member of round r.
-    """
-
-    gen_tables: list[np.ndarray]
-    parent: np.ndarray
-    via: np.ndarray
-    rounds: list[int]
-
-    def replay(self, gp: AbelianGroup) -> np.ndarray:
-        """The (members, n) action tables: tables[m] = gen_tables[via[m]][tables[parent[m]]].
-
-        Rounds are filled in order, so every parent row exists before it is
-        read, and each entry is one gather from the stacked generator tables.
-        """
-        n = gp.order
-        tables = np.empty((len(self.parent), n), dtype=gp.index_dtype)
-        tables[0] = np.arange(n)
-        if not self.gen_tables:  # the identity is all
-            return tables
-        stacked = np.concatenate(self.gen_tables)
-        step = max(1, _REPLAY_ENTRIES // n)
-        for a, b in zip(self.rounds[1:-1], self.rounds[2:]):
-            for lo in range(a, b, step):
-                hi = min(lo + step, b)
-                idx = np.take(tables, self.parent[lo:hi], axis=0).astype(np.intp)
-                idx += self.via[lo:hi, None].astype(np.intp) * n
-                np.take(stacked, idx, out=tables[lo:hi])
-        return tables
-
-
-def _images_by_closure(
-    gp: AbelianGroup, gen_tables: list[np.ndarray], expected: int
-) -> tuple[np.ndarray, _ClosureLinks]:
+def _images_by_closure(gp: AbelianGroup, gen_tables: list[np.ndarray], expected: int) -> np.ndarray:
     """Grow the group's generator images from generator tables by breadth-first closure.
 
     A member is its rank generator images, and generator g applied after
@@ -418,45 +380,36 @@ def _images_by_closure(
     first.  The images are column-major: every pass over them
     (keys, evaluation, centralizer tests) reads one generator's column.
     """
-    gen_pos = np.asarray(gp._strides, dtype=np.int64)
     codes, space = _image_codes(gp)
     gen_codes = [codes[:, g] for g in gen_tables]
     images = np.empty((expected, gp.rank), dtype=gp.index_dtype, order="F")
-    images[0] = gen_pos
-    parent = np.zeros(expected, dtype=np.int32 if expected <= 2**31 else np.int64)
-    via = np.zeros(expected, dtype=np.min_scalar_type(max(len(gen_tables) - 1, 0)))
+    images[0] = gp._strides
     seen = np.zeros(space, dtype=bool)
     seen[_keys_of_images(codes, images[:1])] = True
-    rounds = [0, 1]
+    lo, hi = 0, 1
     # with no generators (Aut(C2), the trivial group) the identity is all
-    while rounds[-2] < rounds[-1] and gen_tables:
-        lo, hi = rounds[-2], rounds[-1]
+    while lo < hi and gen_tables:
         frontier = images[lo:hi]
-        round_images, round_keys, round_parents, round_vias = [], [], [], []
-        for j, (g, g_codes) in enumerate(zip(gen_tables, gen_codes)):
+        round_images, round_keys = [], []
+        for g, g_codes in zip(gen_tables, gen_codes):
             keys = _keys_of_images(g_codes, frontier)
             fresh = np.flatnonzero(~seen[keys])
             keys = keys[fresh]
             seen[keys] = True
             round_images.append(g[frontier[fresh]])
             round_keys.append(keys)
-            round_parents.append(fresh + lo)
-            round_vias.append(np.full(len(fresh), j, dtype=via.dtype))
         keys = np.concatenate(round_keys)
         end = hi + len(keys)
         if end > expected:
             raise AssertionError("closure overshot the predicted group order")
-        order = np.argsort(keys)
-        images[hi:end] = np.concatenate(round_images, axis=0)[order]
-        parent[hi:end] = np.concatenate(round_parents)[order]
-        via[hi:end] = np.concatenate(round_vias)[order]
-        rounds.append(end)
-    if rounds[-1] != expected:
+        images[hi:end] = np.concatenate(round_images, axis=0)[np.argsort(keys)]
+        lo, hi = hi, end
+    if hi != expected:
         raise AssertionError(
             f"generating set incomplete for {gp.descriptor}: "
-            f"closure size {rounds[-1]} != |Aut| = {expected}"
+            f"closure size {hi} != |Aut| = {expected}"
         )
-    return images, _ClosureLinks(gen_tables, parent, via, rounds)
+    return images
 
 
 class AutGroup:
@@ -476,16 +429,15 @@ class AutGroup:
     A member's value at any element is evaluated from its images
     (`member_table`, `evaluate`).  The (members, n) action tables, row m
     the permutation of element indices induced by member m, are built only
-    when `tables` is first read, by replaying the closure's links; the
-    links are released then.  Aut-wide work (generators, conjugation,
-    class labels) never reads them; per-class work does.
+    when `tables` is first read, from the images too.  Aut-wide work
+    (generators, conjugation, class labels) never reads them; per-class
+    work does.
     """
 
-    def __init__(self, group: AbelianGroup, images: np.ndarray, links: _ClosureLinks):
+    def __init__(self, group: AbelianGroup, images: np.ndarray):
         self.group = group
         self.images = images
         self.images.setflags(write=False)
-        self._links = links
         self.gen_pos = np.asarray(group._strides, dtype=np.int64)
         self._codes, space = _image_codes(group)
         keys = self.keys
@@ -504,10 +456,36 @@ class AutGroup:
 
     @cached_property
     def tables(self) -> np.ndarray:
-        """(members, n) action tables, replayed from the closure on first read."""
-        tables = self._links.replay(self.group)
+        """(members, n) action tables, evaluated from the images on first read.
+
+        The last coordinate has stride 1, so once the coordinates after j
+        are done the values at the first `done` elements (e_j's stride) are
+        known, and the value at c e_j + r (r < done) is m(c e_j) + m(r): one
+        add-table gather per entry over a block of `done` elements.  Each chunk of members is
+        built transposed, row y holding m(y), so that every block is
+        contiguous, and then copied into place.
+        """
+        g = self.group
+        n = g.order
+        add = g.add_table.ravel()
+        tables = np.empty((len(self), n), dtype=g.index_dtype)
+        rows = max(1, min(len(self), _TABLE_ENTRIES // n))
+        cols = np.empty((n, rows), dtype=g.index_dtype)
+        for lo in range(0, len(self), rows):
+            images = self.images[lo : lo + rows]
+            t = cols[:, : len(images)]
+            t[0] = 0
+            done = 1
+            for j in range(g.rank - 1, -1, -1):
+                for c in range(1, g.moduli[j]):
+                    head = np.multiply(t[(c - 1) * done], n, dtype=np.intp)
+                    head += images[:, j]  # index of m((c-1) e_j) + m(e_j)
+                    idx = np.multiply(add.take(head), n, dtype=np.intp) + t[:done]
+                    # clip mode lets take write the block without a buffer
+                    add.take(idx, out=t[c * done : (c + 1) * done], mode="clip")
+                done *= g.moduli[j]
+            tables[lo : lo + len(images)] = t.T
         tables.setflags(write=False)
-        self._links = None
         return tables
 
     @cached_property
@@ -516,30 +494,17 @@ class AutGroup:
         g = self.group
         mods = max(g.moduli, default=1)
         mul = np.stack([g.pack_coords(c * g.coords_array) for c in range(mods)]).astype(g.index_dtype)
-        if g.order & (g.order - 1) == 0:
-            # a 2-group's element index is one bit field per coordinate: add
-            # the fields below their top bits, then xor the top bits in (a
-            # tenth of the add-table gather's time on C2^5)
-            top = g.index_dtype(sum(m // 2 * s for m, s in zip(g.moduli, g._strides)))
-            low = g.index_dtype(g.order - 1 - top)
+        add = g.add_table.ravel()
 
-            def plus(a, b):
-                return ((a & low) + (b & low)) ^ ((a ^ b) & top)
-
-        else:
-            add = g.add_table.ravel()
-
-            def plus(a, b):
-                idx = np.multiply(a, g.order, dtype=np.intp)
-                idx += b
-                return add.take(idx)
+        def plus(a, b):
+            idx = np.multiply(a, g.order, dtype=np.intp)
+            idx += b
+            return add.take(idx)
 
         return plus, mul
 
     def member_table(self, i: int) -> np.ndarray:
-        """Action table of member i: its row once `tables` is built, else evaluated from its images."""
-        if "tables" in vars(self):
-            return self.tables[int(i)]
+        """Action table of member i, evaluated from its images."""
         g = self.group
         plus, mul = self._arithmetic
         out = np.zeros(g.order, dtype=g.index_dtype)
@@ -573,13 +538,9 @@ class AutGroup:
         """Dense key of every member, in member order."""
         return _keys_of_images(self._codes, self.images)
 
-    def lookup_images(self, images: np.ndarray, after: np.ndarray | None = None) -> np.ndarray:
-        """Member indices of (rows, rank) generator images; raises if any row is foreign.
-
-        With an action table `after`, the images looked up are after[images],
-        mapped inside the key codes instead of element by element.
-        """
-        keys = _keys_of_images(self._codes if after is None else self._codes[:, after], images)
+    def lookup_images(self, images: np.ndarray) -> np.ndarray:
+        """Member indices of (rows, rank) generator images; raises if any row is foreign."""
+        keys = _keys_of_images(self._codes, images)
         if len(keys) and int(keys.max()) >= len(self.index):
             raise KeyError("some rows are not members of this automorphism group")
         out = self.index.take(keys)
@@ -644,5 +605,5 @@ def aut_group(group: AbelianGroup, budget: int | None = DEFAULT_AUT_BUDGET) -> A
     expected = aut_group_order(group)
     if budget is not None and expected > budget:
         raise ResourceLimitError(group, expected, budget)
-    images, links = _images_by_closure(group, [f.table for f in _generators(group)], expected)
-    return AutGroup(group, images, links)
+    images = _images_by_closure(group, [f.table for f in _generators(group)], expected)
+    return AutGroup(group, images)

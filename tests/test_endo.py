@@ -355,22 +355,21 @@ def test_images_are_column_major():
     assert aut_group(parse_group("C4xC4xC2xC2")).images.flags.f_contiguous
 
 
-def test_tables_are_replayed_on_first_read():
+def test_tables_are_built_on_first_read():
     A = aut_group(parse_group("C3^3"))
     assert "tables" not in vars(A)
     sample = range(0, len(A), 97)
     rows = [A.member_table(i) for i in sample]
     tables = A.tables
-    assert A._links is None  # the replay links are released with the tables
     assert tables is A.tables and not tables.flags.writeable
     assert all(np.array_equal(r, tables[i]) for r, i in zip(rows, sample))
 
 
-# C8xC4xC2 sums by bit fields (a 2-group), the others through the add table
 @pytest.mark.parametrize("desc", ["C8xC4xC2", "C4xC2xC3", "C9xC3", "C2", "C1"])
-def test_members_and_evaluation_match_the_tables(desc):
+def test_members_and_evaluation_match_the_tables(desc, monkeypatch):
     g = parse_group(desc)
     A = aut_group(g)
+    monkeypatch.setattr(endo_mod, "_TABLE_ENTRIES", 7 * g.order)  # 7-row chunks, the last short
     points = np.arange(g.order)
     values = A.evaluate(points, 0, len(A))  # (points, members), from the images
     for i in range(len(A)):
@@ -384,4 +383,4 @@ def test_duplicate_members_are_refused():
     images = A.images.copy(order="F")
     images[1] = images[0]
     with pytest.raises(AssertionError, match="duplicate members"):
-        endo_mod.AutGroup(A.group, images, A._links)
+        endo_mod.AutGroup(A.group, images)

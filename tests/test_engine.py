@@ -438,11 +438,11 @@ def test_progress_is_logged_per_class_in_the_pool(caplog):
 def test_aut_wide_stages_never_build_the_tables(monkeypatch):
     from centralq import endo
 
-    def refuse(links, group):
+    def refuse(aut):
         raise AssertionError("the action tables were built")
 
     A = aut_group(parse_group("C3^3"))
-    monkeypatch.setattr(endo._ClosureLinks, "replay", refuse)
+    monkeypatch.setattr(endo.AutGroup, "tables", property(refuse))
     reps = conjugacy_class_reps(A).representatives
     ctx = EngineContext(A.group, A)
     assert len(ctx.agens) > 0
