@@ -13,23 +13,29 @@ count_class gets these by Cauchy-Frobenius without building the pairs:
 the orbit counts are averages of fixed-point counts, and regrouped over
 orbits of commuting pairs (h, f) every term is one pass over G (central)
 plus one subgroup join chain per member of C(f) ∩ C(h) (medial), kept as
-exact numerators over |Aut|.  A proper centralizer C(h) is worked in its
-own sorted member list: its generators are found by a local search (right
-multiplication by a candidate is a permutation of local positions, and
-the subgroup generated so far grows by a breadth-first sweep of those),
-its classes by conjugation restricted to those positions, and C(f) ∩ C(h)
-for a run of terms f by one array pass over C(h).  agens and conj_perm
-are the same search and conjugation over all of Aut(G)'s members, whose
-values they evaluate from the generator images: the Aut-wide stages
-(generators, conjugation, class labels) never build the N x n action
-tables, which the per-class routes read.  enumerate_counts builds them
-once, before a pool forks.
+exact numerators over |Aut|.  When f is alone in its class of C(h),
+C(f) ∩ C(h) = C(h) and the medial term is the central one, with no
+joins.  A proper centralizer C(h) is worked in its own sorted member
+list: its generators are found by a local search (right multiplication
+by a candidate is a permutation of local positions, and the subgroup
+generated so far grows by a breadth-first sweep of those), its classes
+by conjugation restricted to those positions, and C(f) ∩ C(h) for a run
+of terms f by one array pass over C(h).  Member indices become local
+positions through one N-entry map per context, read back against the
+list.  agens and conj_perm are the same search and conjugation over all
+of Aut(G)'s members, whose values they evaluate from the generator
+images: the Aut-wide stages (generators, conjugation, class labels)
+never build the N x n action tables, which the per-class routes read.
+enumerate_counts builds them once, before a pool forks.  The tables are
+element-major, so a centralizer scan reads one contiguous row of all
+members' values per element, and a member list's values (its "cols",
+row x holding m(x) for every member m) are one row gather.
 
 process_class builds the pair space of one representative and labels its
 orbits; it serves the explicit classification, which needs one point per
 orbit, and is the second route the tests compare the counts with.  Both
 per-class routes get C(f) from one helper (_centralizer: the cached
-member list, its transposed tables and its generators), and both results
+member list, its cols and its generators), and both results
 give cq and mq as numerators over |Aut|.
 
 The image of x - f(x) - m(x) is a homomorphic image, so it is spanned by
@@ -81,6 +87,20 @@ def _inverse_perm(p: np.ndarray) -> np.ndarray:
     return inv
 
 
+def _positions(
+    members: np.ndarray, pos_map: np.ndarray, glob: np.ndarray, what: str
+) -> np.ndarray:
+    """Positions in members of the member indices glob, read from a position_map.
+
+    Stale map entries are caught by reading the members back: a member
+    index outside the list raises.
+    """
+    pos = pos_map.take(glob)
+    if (members.take(pos, mode="clip") != glob).any():
+        raise AssertionError(f"{what}; inputs inconsistent")
+    return pos
+
+
 def _orbit_min_labels(gens: list[np.ndarray], count: int) -> np.ndarray:
     """Label every point with the minimal point of its orbit.
 
@@ -112,12 +132,12 @@ def _member_products(
 ) -> np.ndarray:
     """Member indices of m g, or of g m g^-1 if conjugate, for every m of a member list.
 
-    cols is the list's tables transposed (row x holds m(x) for every member
-    m), or None for the whole group, whose values are evaluated from the
-    generator images instead, so the N x n tables are never read.  A C(h)
-    list keeps its cols: evaluating those from the images too cost the
-    fixture sweep about 11 % of its wall time.  Each product is looked up
-    by its generator images.
+    cols is the list's values, row x holding m(x) for every member m (a row
+    gather of the element-major tables), or None for the whole group,
+    whose values are evaluated from the generator images instead, so the
+    N x n tables are never read.  A C(h) list keeps its cols: evaluating
+    those from the images too cost the fixture sweep about 11 % of its
+    wall time.  Each product is looked up by its generator images.
     """
     gtab = ctx.aut.member_table(g)
     right = (_inverse_perm(gtab) if conjugate else gtab)[ctx.gen_pos]
@@ -248,6 +268,7 @@ class EngineContext:
         self._agens: list[int] | None = None
         self._class_labels: np.ndarray | None = None
         self._centralizers: dict[int, np.ndarray] = {}
+        self._position_map: np.ndarray | None = None
 
     @property
     def tables(self) -> np.ndarray:
@@ -291,18 +312,21 @@ class EngineContext:
     ) -> list[int]:
         """A small generating set for a subgroup given by its member list.
 
-        members is the sorted member-index list and cols their tables
-        transposed (row x holds m(x) for every member m), or None when
-        members is the whole group (see _member_products).  Random members
-        outside the subgroup generated so far are added until it is all of
-        members; each addition at least doubles it, so 64 tries cover any
-        group.  The search never leaves the member list: right
-        multiplication by a drawn generator is computed once, as a
-        permutation of local positions (m -> m g), and the subgroup grows by
-        a breadth-first sweep of those permutations from the positions it
-        already holds.  agens is this search over the whole group.
+        members is the sorted member-index list and cols their values (row
+        x holds m(x) for every member m), or None when members is the whole
+        group (see _member_products).  Random members outside the subgroup
+        generated so far are added until it is all of members; each
+        addition at least doubles it, so 64 tries cover any group.  The
+        search never leaves the member list: right multiplication by a
+        drawn generator is computed once, as a permutation of local
+        positions (m -> m g, read through position_map and checked), and
+        the subgroup grows by a breadth-first sweep of those permutations
+        from the positions it already holds.  agens is this search over the
+        whole group, where positions are member indices.
         """
         c_size = len(members)
+        # over the whole group, positions are member indices
+        pos_map = self.position_map(members) if c_size < self.N else None
         rng = random.Random(f"{self.seed_base}:{seed}")
         gens: list[int] = []
         perms: list[np.ndarray] = []
@@ -312,12 +336,10 @@ class EngineContext:
                 raise AssertionError(f"could not generate subgroup of size {c_size}")
             outside = members[~inside]
             gens.append(int(outside[rng.randrange(len(outside))]))
-            glob = pos = _member_products(self, cols, gens[-1])
-            if c_size < self.N:  # over the whole group, positions are member indices
-                pos = np.searchsorted(members, glob).clip(max=c_size - 1)
-                if (members[pos] != glob).any():
-                    raise AssertionError("closure left the subgroup; inputs inconsistent")
-            perms.append(pos.astype(np.int32))
+            pos = _member_products(self, cols, gens[-1])
+            if pos_map is not None:
+                pos = _positions(members, pos_map, pos, "closure left the subgroup")
+            perms.append(pos.astype(np.int32, copy=False))
             frontier = np.flatnonzero(inside)
             while len(frontier):
                 new = []  # marked before the next generator runs, as in closure_mask
@@ -343,15 +365,32 @@ class EngineContext:
             self._agens = self.find_generators(members, None, "whole-group")
         return self._agens
 
+    def position_map(self, members: np.ndarray) -> np.ndarray:
+        """N-entry int32 map from member index to position in a member list.
+
+        One array per context, written at members on every call: entries
+        outside members are stale, so each read is checked (_positions).
+        """
+        if self._position_map is None:
+            self._position_map = np.empty(self.N, dtype=np.int32)
+        self._position_map[members] = np.arange(len(members), dtype=np.int32)
+        return self._position_map
+
     def centralizer_mask(self, f: int) -> np.ndarray:
-        """Members m with f m == m f, compared on the generator images."""
-        tab, images = self.tables, self.images
-        ftab = tab[f]
-        cols = ftab[self.gen_pos]
+        """Members m with f m == m f, compared on the generator images.
+
+        f(m(g)) == m(f(g)) for each canonical generator g: m(f(g)) for
+        every member m is one contiguous row of the element-major tables.
+        """
+        by_element, images = self.tables.T, self.images
+        ftab = self.aut.member_table(f)
         out = np.empty(self.N, dtype=bool)
         for lo in range(0, self.N, _CHUNK_ROWS):
             hi = min(lo + _CHUNK_ROWS, self.N)
-            out[lo:hi] = np.all(ftab[images[lo:hi]] == tab[lo:hi, cols], axis=1)
+            block = out[lo:hi]
+            block.fill(True)
+            for i, x in enumerate(ftab[self.gen_pos]):
+                block &= ftab.take(images[lo:hi, i]) == by_element[x, lo:hi]
         return out
 
     def centralizer_members(self, f: int) -> np.ndarray:
@@ -434,12 +473,13 @@ def _transport_table(ctx: EngineContext, family: np.ndarray, h: int) -> np.ndarr
 
 
 def _centralizer(ctx: EngineContext, f: int) -> tuple[np.ndarray, np.ndarray | None, list[int]]:
-    """C(f) for a per-class route: members, transposed tables and generators.
+    """C(f) for a per-class route: members, their values and generators.
 
-    members is C(f)'s cached sorted member list, cols their rows of the
-    action tables transposed (row x holds m(x) for every member m), or None
-    when C(f) is all of Aut, whose generators are agens and whose values
-    are evaluated from the generator images (see _member_products).
+    members is C(f)'s cached sorted member list and cols their values, row
+    x holding m(x) for every member m: the row gather
+    tables.T[:, members] of the element-major tables.  cols is None when
+    C(f) is all of Aut, whose generators are agens and whose values are
+    evaluated from the generator images (see _member_products).
     """
     members = ctx.centralizer_members(f)
     c_size = len(members)
@@ -447,7 +487,7 @@ def _centralizer(ctx: EngineContext, f: int) -> tuple[np.ndarray, np.ndarray | N
         raise AssertionError("centralizer size does not divide the group order")
     if c_size == ctx.N:
         return members, None, ctx.agens
-    cols = np.ascontiguousarray(ctx.tables[members].T)
+    cols = ctx.tables.T[:, members]
     return members, cols, ctx.find_generators(members, cols, f"class {f}")
 
 
@@ -572,11 +612,13 @@ def _local_class_labels(
 ) -> np.ndarray:
     """Conjugacy class labels of C(h), over positions in its member list.
 
-    members is C(h) as sorted member indices and cols_c their tables
-    transposed (row x holds m(x) for every member m); conjugation by each
-    generator, g m g^-1, is found from generator images as in conj_perm,
-    over these members only, as a permutation of local positions.
+    members is C(h) as sorted member indices and cols_c their values (row
+    x holds m(x) for every member m); conjugation by each generator,
+    g m g^-1, is found from generator images as in conj_perm, over these
+    members only, as a permutation of local positions read through
+    position_map.  A conjugate outside members raises.
     """
+    pos_map = ctx.position_map(members)
     h_pos = int(np.searchsorted(members, h))
     perms = []
     for g in cgens:
@@ -585,7 +627,8 @@ def _local_class_labels(
         # conjugation by g maps C(h) onto itself
         if glob[h_pos] != h:
             raise AssertionError("generator does not centralize the representative")
-        perms.append(np.searchsorted(members, glob))
+        pos = _positions(members, pos_map, glob, "conjugation left the centralizer")
+        perms.append(pos.astype(np.intp))  # the labels gather through them every round
     return _orbit_min_labels(perms, len(members))
 
 
@@ -610,8 +653,8 @@ def _medial_fixed(
     fs are the terms' representatives, sizes their class sizes in C(h) and t_h
     the registry id of T = Im(h - 1).  For central h, C(f) ∩ C(h) = C(f)
     comes from the per-process centralizer cache; otherwise cols_c holds
-    C(h)'s transposed tables, and a run of terms is tested for commuting
-    with every member of C(h) in one array pass per generator.  Each run's join rows
+    C(h)'s values, and a run of terms is tested for commuting with every
+    member of C(h) in one array pass per generator.  Each run's join rows
     (g - f(g) - psi(g), one row per pair (f, psi)) go through the join
     chain seeded at T together, and the coset counts are summed per term.
     """
@@ -670,10 +713,12 @@ def count_class(ctx: EngineContext, h: int) -> ClassTerms:
 
     one gather over G per f from a (coset of T) x (orbit) count table.
     The medial term sums [G : S + T] over psi in C(f) ∩ C(h) through the
-    registry's join table, seeded at T (_medial_fixed).  No pair space is
-    built, and a proper C(h) is handled in its own member list: generator
-    search, class labels and the commuting test never touch the rest of
-    Aut(G).
+    registry's join table, seeded at T (_medial_fixed).  A term whose class
+    in C(h) has size 1 has C(f) ∩ C(h) = C(h), so its medial term is its
+    fixed term; that f commutes with C(h)'s generators is checked.  No
+    pair space is built, and a proper C(h) is handled in its own member
+    list: generator search, class labels and the commuting test never
+    touch the rest of Aut(G).
     """
     n = ctx.group.order
     reg = ctx.subgroups
@@ -697,24 +742,38 @@ def count_class(ctx: EngineContext, h: int) -> ClassTerms:
     t_h = int(s[0])
     kernel = int(reg.counts[t_h])  # |ker(h - 1)| = [G : T]
     coset = reg.cidx[t_h]
+    gtabs = tab[cgens]
     _, orbit, orbit_size = np.unique(
-        _orbit_min_labels([tab[g] for g in cgens], n), return_inverse=True, return_counts=True
+        _orbit_min_labels(list(gtabs), n), return_inverse=True, return_counts=True
     )
     table = np.zeros((kernel, len(orbit_size)), dtype=np.int64)
     np.add.at(table, (coset, orbit), 1)
     weight = c_size // orbit_size[orbit]  # |C(h)| / |O_x|
-    moved = reg.sub[np.arange(n), tab[fs]]  # (1 - f)x per term and x
+    ftabs = tab[fs]
+    moved = reg.sub[np.arange(n), ftabs]  # (1 - f)x per term and x
     fix = kernel * (table[coset[moved], orbit] * weight).sum(axis=1)
     if (fix % n).any():
         raise AssertionError("a fixed-point numerator is not divisible by n")
+    fix //= n
 
-    medial_fixed = _medial_fixed(ctx, t_h, fs, sizes, cols_c)
+    # f alone in its class of C(h) commutes with all of C(h), so
+    # C(f) ∩ C(h) = C(h) and its medial term is its fixed term; checked
+    # exactly: f(g(x)) == g(f(x)) for every generator g of C(h) and every
+    # canonical generator x
+    single = sizes == 1
+    f1 = ftabs[single]
+    if (f1[:, gtabs[:, gp]] != gtabs[:, f1[:, gp]].swapaxes(0, 1)).any():
+        raise AssertionError("the scanned centralizer disagrees with the class size")
+    medial_fixed = fix.copy()
+    rest = ~single
+    if rest.any():
+        medial_fixed[rest] = _medial_fixed(ctx, t_h, fs[rest], sizes[rest], cols_c)
     return ClassTerms(
         rep=h,
         centralizer_order=c_size,
         reps=fs.tolist(),
         class_sizes=sizes.tolist(),
-        fixed=(fix // n).tolist(),
+        fixed=fix.tolist(),
         medial_fixed=medial_fixed.tolist(),
     )
 

@@ -6,9 +6,10 @@ maps between components of different primes are always zero).  The full
 automorphism group is held as an array of generator images, one row of
 rank element indices per automorphism, which keeps group-sized orbit
 computations cheap: a member's value at any element is a sum of scalar
-multiples of its images.  The array of action tables, one row of n
-element indices per automorphism, is evaluated from the images only when
-per-class work first reads it.
+multiples of its images.  The action tables, the value of every
+automorphism at every element, are evaluated from the images only when
+per-class work first reads them, and are stored element-major like the
+images: one contiguous row of member values per element.
 
 Aut(G) is built one way for every group: a breadth-first closure over
 generator images from the elementary matrices (unit scalings and minimal
@@ -429,7 +430,8 @@ class AutGroup:
     A member's value at any element is evaluated from its images
     (`member_table`, `evaluate`).  The (members, n) action tables, row m
     the permutation of element indices induced by member m, are built only
-    when `tables` is first read, from the images too.  Aut-wide work
+    when `tables` is first read, from the images too, and stored
+    element-major (`tables.T` is C-contiguous).  Aut-wide work
     (generators, conjugation, class labels) never reads them; per-class
     work does.
     """
@@ -458,22 +460,27 @@ class AutGroup:
     def tables(self) -> np.ndarray:
         """(members, n) action tables, evaluated from the images on first read.
 
+        The array is element-major: `tables.T` is the C-contiguous (n,
+        members) array, row y holding m(y) for every member m, like the
+        column-major images.  A scan over all members (a centralizer test)
+        then reads one contiguous row per element, and a member list's
+        values are the row gather `tables.T[:, members]`; a single member's
+        row `tables[m]` is strided.
+
         The last coordinate has stride 1, so once the coordinates after j
         are done the values at the first `done` elements (e_j's stride) are
         known, and the value at c e_j + r (r < done) is m(c e_j) + m(r): one
-        add-table gather per entry over a block of `done` elements.  Each chunk of members is
-        built transposed, row y holding m(y), so that every block is
-        contiguous, and then copied into place.
+        add-table gather per entry over a block of `done` elements, for a
+        chunk of members at a time, written in place.
         """
         g = self.group
         n = g.order
         add = g.add_table.ravel()
-        tables = np.empty((len(self), n), dtype=g.index_dtype)
+        by_element = np.empty((n, len(self)), dtype=g.index_dtype)
         rows = max(1, min(len(self), _TABLE_ENTRIES // n))
-        cols = np.empty((n, rows), dtype=g.index_dtype)
         for lo in range(0, len(self), rows):
             images = self.images[lo : lo + rows]
-            t = cols[:, : len(images)]
+            t = by_element[:, lo : lo + len(images)]
             t[0] = 0
             done = 1
             for j in range(g.rank - 1, -1, -1):
@@ -481,12 +488,10 @@ class AutGroup:
                     head = np.multiply(t[(c - 1) * done], n, dtype=np.intp)
                     head += images[:, j]  # index of m((c-1) e_j) + m(e_j)
                     idx = np.multiply(add.take(head), n, dtype=np.intp) + t[:done]
-                    # clip mode lets take write the block without a buffer
                     add.take(idx, out=t[c * done : (c + 1) * done], mode="clip")
                 done *= g.moduli[j]
-            tables[lo : lo + len(images)] = t.T
-        tables.setflags(write=False)
-        return tables
+        by_element.setflags(write=False)
+        return by_element.T
 
     @cached_property
     def _arithmetic(self):

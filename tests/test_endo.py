@@ -355,6 +355,13 @@ def test_images_are_column_major():
     assert aut_group(parse_group("C4xC4xC2xC2")).images.flags.f_contiguous
 
 
+def test_tables_are_element_major():
+    # a scan over all members (centralizer_mask) reads one contiguous row
+    # per element, and a member list's values are one row gather
+    by_element = aut_group(parse_group("C4xC4xC2xC2")).tables.T
+    assert by_element.flags.c_contiguous and not by_element.flags.writeable
+
+
 def test_tables_are_built_on_first_read():
     A = aut_group(parse_group("C3^3"))
     assert "tables" not in vars(A)

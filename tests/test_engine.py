@@ -284,6 +284,41 @@ def test_scanned_centralizer_must_match_the_class_size(monkeypatch):
         count_class(ctx, h)
 
 
+def test_scanned_centralizer_must_match_a_merged_class(monkeypatch):
+    ctx, h = _noncentral_rep("C2^4")
+    real = _engine._local_class_labels
+
+    def merged(*args):
+        # two classes of sizes above 1 under the smaller label: the sizes
+        # still add up, and the merged term goes through the scan
+        labels = real(*args)
+        roots, sizes = np.unique(labels, return_counts=True)
+        a, b = roots[sizes > 1][:2]
+        return np.where(labels == b, a, labels)
+
+    monkeypatch.setattr(_engine, "_local_class_labels", merged)
+    with pytest.raises(AssertionError, match="scanned centralizer disagrees"):
+        count_class(ctx, h)
+
+
+def test_local_class_labels_refuse_a_conjugate_outside_the_centralizer(monkeypatch):
+    ctx, h = _noncentral_rep("C2^4")
+    members, cols, cgens = _engine._centralizer(ctx, h)
+    h_pos = int(np.searchsorted(members, h))
+    # a non-member below the last member: a sorted search would place it silently
+    outsider = int(np.setdiff1d(np.arange(members[-1]), members)[0])
+    real = _engine._member_products
+
+    def one_outsider(*args, **kwargs):
+        out = real(*args, **kwargs)
+        out[(h_pos + 1) % len(out)] = outsider  # not at h's position
+        return out
+
+    monkeypatch.setattr(_engine, "_member_products", one_outsider)
+    with pytest.raises(AssertionError, match="conjugation left the centralizer"):
+        _engine._local_class_labels(ctx, h, members, cols, cgens)
+
+
 @pytest.mark.parametrize("desc", ["C4xC4xC2", "C11xC11", "C8xC2xC2xC2"])
 @pytest.mark.parametrize(
     "limit, value",
