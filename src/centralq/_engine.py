@@ -20,7 +20,8 @@ list: its generators are found by a local search (right multiplication
 by a candidate is a permutation of local positions, and the subgroup
 generated so far grows by a breadth-first sweep of those), its classes
 by conjugation restricted to those positions, and C(f) ∩ C(h) for a run
-of terms f by one array pass over C(h).  Member indices become local
+of terms f by one array pass over C(h), the same commuting test
+(_commuting) that scans Aut(G) for C(f).  Member indices become local
 positions through one N-entry map per context, read back against the
 list.  agens and conj_perm are the same search and conjugation over all
 of Aut(G)'s members, whose values they evaluate from the generator
@@ -44,9 +45,9 @@ generator columns.  A per-group SubgroupRegistry, built with the
 context, is the only place subgroups are identified: it numbers the
 subgroups met so far, keeps each one's cosets (found once per subgroup),
 and fills a join table join[s, x] = id of S + <x> on demand.  Every
-member's image subgroup is then rank gathers away from the trivial
-subgroup (or from Im(h - 1) in count_class), the class loop reads cosets
-by registry id, and no step builds a member x element array.
+image subgroup is a span of rank values from the trivial subgroup (or
+from Im(h - 1) in count_class), the class loop reads cosets by registry
+id, and no step builds a member x element array.
 """
 
 from __future__ import annotations
@@ -125,6 +126,26 @@ def _orbit_min_labels(gens: list[np.ndarray], count: int) -> np.ndarray:
         labels = labels[labels]
         if np.array_equal(labels, prev):
             return labels
+
+
+def _roots(labels: np.ndarray) -> np.ndarray:
+    """The points that are their own label: one per orbit, ascending."""
+    return np.flatnonzero(labels == np.arange(len(labels), dtype=labels.dtype))
+
+
+def _commuting(ft: np.ndarray, gp: np.ndarray, img: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """(terms, members) mask of f m == m f, compared on the canonical generators.
+
+    ft holds the terms' tables (row i: f_i(y) for every y) and cols the
+    members' values (row y: m(y) for every member m).  img is cols[gp],
+    passed apart so that the scan reads it from the generator images and
+    the medial pass holds it as intp (a take casts narrower indices on
+    every call).  Per generator g, f(m(g)) and m(f(g)) are one gather each.
+    """
+    out = np.ones((len(ft), cols.shape[1]), dtype=bool)
+    for i, x in enumerate(gp.tolist()):
+        out &= ft.take(img[i], axis=1) == cols[ft[:, x]]
+    return out
 
 
 def _member_products(
@@ -239,6 +260,12 @@ class SubgroupRegistry:
             out = self._join[s, x]
         return out
 
+    def span(self, s: np.ndarray, xs) -> np.ndarray:
+        """Ids of S + <x, x', ...>: each element array of xs joined into s in turn."""
+        for x in xs:
+            s = self.join(s, x)
+        return s
+
     def _fill(self, sids: np.ndarray, xs: np.ndarray) -> None:
         # S + <x> by doubling: after k rounds a row holds S + {0..2^k - 1}x,
         # and once adding y = 2^k x changes nothing the row is a subgroup
@@ -270,11 +297,6 @@ class EngineContext:
         self._centralizers: dict[int, np.ndarray] = {}
         self._position_map: np.ndarray | None = None
 
-    @property
-    def tables(self) -> np.ndarray:
-        """Aut(G)'s action tables, built on first read; per-class work reads them."""
-        return self.aut.tables
-
     # -- member-space primitives -------------------------------------------
 
     def inverse_table(self, h: int) -> np.ndarray:
@@ -286,7 +308,7 @@ class EngineContext:
 
     def closure_mask(self, gens: list[int]) -> tuple[np.ndarray, int]:
         """Members generated by gens, as a mask over member indices (the tests' reference)."""
-        tab, images = self.tables, self.images
+        tab, images = self.aut.tables, self.images
         mask = np.zeros(self.N, dtype=bool)
         ident = self.aut.identity_index
         mask[ident] = True
@@ -377,20 +399,16 @@ class EngineContext:
         return self._position_map
 
     def centralizer_mask(self, f: int) -> np.ndarray:
-        """Members m with f m == m f, compared on the generator images.
+        """Members m with f m == m f, by _commuting over every member.
 
-        f(m(g)) == m(f(g)) for each canonical generator g: m(f(g)) for
-        every member m is one contiguous row of the element-major tables.
+        The members go _CHUNK_ROWS at a time: their generator images and a
+        column block of the element-major tables.T, both with contiguous rows.
         """
-        by_element, images = self.tables.T, self.images
-        ftab = self.aut.member_table(f)
+        by_element, ft, gp = self.aut.tables.T, self.aut.member_table(f)[None], self.gen_pos
         out = np.empty(self.N, dtype=bool)
         for lo in range(0, self.N, _CHUNK_ROWS):
-            hi = min(lo + _CHUNK_ROWS, self.N)
-            block = out[lo:hi]
-            block.fill(True)
-            for i, x in enumerate(ftab[self.gen_pos]):
-                block &= ftab.take(images[lo:hi, i]) == by_element[x, lo:hi]
+            block = slice(lo, lo + _CHUNK_ROWS)
+            out[block] = _commuting(ft, gp, self.images[block].T, by_element[:, block])
         return out
 
     def centralizer_members(self, f: int) -> np.ndarray:
@@ -437,20 +455,15 @@ def _coset_data(ctx: EngineContext, f: int) -> np.ndarray:
 
     The map is a homomorphism, so its image is spanned by its values on
     the rank canonical generators, t[m] = (g - f(g) - m(g) for each g).
-    Every member's image is built one generator at a time through the
-    registry's join table, s <- join[s, t[:, i]], starting from the
+    Every member's image is the registry's span of those columns from the
     trivial subgroup: rank gathers over the members and no member x
     element array.  The cosets of each subgroup are read from the
     registry by id.
     """
     reg = ctx.subgroups
-    gp = ctx.gen_pos
-    d1 = reg.sub[gp, ctx.images[f]]  # g - f(g) per canonical generator g
+    d1 = reg.sub[ctx.gen_pos, ctx.images[f]]  # g - f(g) per canonical generator g
     t = reg.sub[d1, ctx.images]  # (N, rank): g - f(g) - m(g)
-    s = np.zeros(ctx.N, dtype=np.int32)
-    for i in range(t.shape[1]):
-        s = reg.join(s, t[:, i])
-    return s
+    return reg.span(np.zeros(ctx.N, dtype=np.int32), t.T)
 
 
 def _transport_table(ctx: EngineContext, family: np.ndarray, h: int) -> np.ndarray:
@@ -487,7 +500,7 @@ def _centralizer(ctx: EngineContext, f: int) -> tuple[np.ndarray, np.ndarray | N
         raise AssertionError("centralizer size does not divide the group order")
     if c_size == ctx.N:
         return members, None, ctx.agens
-    cols = ctx.tables.T[:, members]
+    cols = ctx.aut.tables.T[:, members]
     return members, cols, ctx.find_generators(members, cols, f"class {f}")
 
 
@@ -526,7 +539,7 @@ def process_class(ctx: EngineContext, f: int) -> ClassResult:
 
     pperms = []
     for h, mp in zip(cgens, mperms):
-        htab = ctx.tables[h]
+        htab = ctx.aut.tables[h]
         transport = _transport_table(ctx, family, h)
         s2 = s[mp]
         if not np.array_equal(s2, transport[s]):
@@ -543,7 +556,7 @@ def process_class(ctx: EngineContext, f: int) -> ClassResult:
 
     labels = _orbit_min_labels(pperms, total)
     del pperms
-    root_idx = np.flatnonzero(labels == np.arange(total, dtype=labels.dtype))
+    root_idx = _roots(labels)
     cq = len(root_idx)
     root_members = m_of_point[root_idx].astype(np.int64)
     medial_mask = np.isin(root_members, members)
@@ -646,22 +659,27 @@ def _term_chunks(rows: np.ndarray, width: int):
 
 
 def _medial_fixed(
-    ctx: EngineContext, t_h: int, fs: np.ndarray, sizes: np.ndarray, cols_c: np.ndarray | None
+    ctx: EngineContext,
+    t_h: int,
+    fs: np.ndarray,
+    ftabs: np.ndarray,
+    d: np.ndarray,
+    sizes: np.ndarray,
+    cols_c: np.ndarray | None,
 ) -> np.ndarray:
     """Sum of [G : S + T] over psi in C(f) ∩ C(h), S = Im(1 - f - psi), per term f.
 
-    fs are the terms' representatives, sizes their class sizes in C(h) and t_h
-    the registry id of T = Im(h - 1).  For central h, C(f) ∩ C(h) = C(f)
-    comes from the per-process centralizer cache; otherwise cols_c holds
-    C(h)'s values, and a run of terms is tested for commuting with every
-    member of C(h) in one array pass per generator.  Each run's join rows
-    (g - f(g) - psi(g), one row per pair (f, psi)) go through the join
-    chain seeded at T together, and the coset counts are summed per term.
+    fs are the terms' representatives, with count_class's rows for them:
+    ftabs their tables and d the values g - f(g) on the canonical generators.
+    sizes are their class sizes in C(h) and t_h the registry id of
+    T = Im(h - 1).  For central h, C(f) ∩ C(h) = C(f) comes from the
+    per-process centralizer cache; otherwise cols_c holds C(h)'s values, and
+    one _commuting call tests a run of terms against all of C(h).  Each run's
+    join rows (g - f(g) - psi(g), one row per pair (f, psi)) are spanned
+    from T together, and the coset counts are summed per term.
     """
     reg, gp = ctx.subgroups, ctx.gen_pos
     c_size = ctx.N if cols_c is None else cols_c.shape[1]
-    ftabs = ctx.tables[fs]
-    d = reg.sub[gp, ftabs[:, gp]]  # (terms, rank): g - f(g)
     if cols_c is not None:
         img = cols_c[gp].astype(np.intp)  # (rank, |C(h)|): psi(g)
     out = np.zeros(len(fs), dtype=np.int64)
@@ -671,10 +689,7 @@ def _medial_fixed(
             found = np.asarray([len(c) for c in cents])
             psi = ctx.images[cents[0] if b - a == 1 else np.concatenate(cents)].T
         else:
-            ft = ftabs[a:b]
-            commuting = np.ones((b - a, c_size), dtype=bool)
-            for i, x in enumerate(gp):  # f(psi(g)) == psi(f(g)) on every generator g
-                commuting &= np.take(ft, img[i], axis=1) == cols_c[ft[:, x]]
+            commuting = _commuting(ftabs[a:b], gp, img, cols_c)
             found = np.count_nonzero(commuting, axis=1)
             psi = img[:, np.nonzero(commuting)[1]]
         # |C(f) ∩ C(h)| scanned must match |C(h)| / |class of f|
@@ -688,9 +703,8 @@ def _medial_fixed(
         vals = np.empty(rows, dtype=np.int32)
         for lo in range(0, rows, _CHUNK_ROWS):
             hi = min(lo + _CHUNK_ROWS, rows)
-            s = np.full(hi - lo, t_h, dtype=np.int32)
-            for i in range(len(gp)):
-                s = reg.join(s, reg.sub[dt[lo:hi, i], psi[i, lo:hi]])
+            joined = (reg.sub[dt[lo:hi, i], psi[i, lo:hi]] for i in range(len(gp)))
+            s = reg.span(np.full(hi - lo, t_h, dtype=np.int32), joined)
             vals[lo:hi] = reg.counts[s]  # read after the joins, which may grow the registry
         starts = np.concatenate([[0], np.cumsum(found[:-1])])
         out[a:b] = np.add.reduceat(vals, starts, dtype=np.int64)
@@ -722,24 +736,21 @@ def count_class(ctx: EngineContext, h: int) -> ClassTerms:
     """
     n = ctx.group.order
     reg = ctx.subgroups
-    tab, gp = ctx.tables, ctx.gen_pos
+    tab, gp = ctx.aut.tables, ctx.gen_pos
     members, cols_c, cgens = _centralizer(ctx, h)
     c_size = len(members)
     if cols_c is None:  # central h: C(h) is Aut, with Aut's classes
         labels = ctx.class_labels
     else:
         labels = _local_class_labels(ctx, h, members, cols_c, cgens)
-    roots = np.flatnonzero(labels == np.arange(c_size, dtype=labels.dtype))
+    roots = _roots(labels)
     sizes = np.bincount(labels, minlength=c_size)[roots]
     if int(sizes.sum()) != c_size:
         raise AssertionError("class sizes of the centralizer do not add up to its order")
     fs = members[roots]
 
     # T = Im(h - 1), spanned by (h - 1)g over the canonical generators g
-    s = np.zeros(1, dtype=np.int32)
-    for x in reg.sub[ctx.images[h], gp]:
-        s = reg.join(s, np.asarray([x]))
-    t_h = int(s[0])
+    t_h = int(reg.span(np.zeros(1, dtype=np.int32), reg.sub[ctx.images[h], gp][:, None])[0])
     kernel = int(reg.counts[t_h])  # |ker(h - 1)| = [G : T]
     coset = reg.cidx[t_h]
     gtabs = tab[cgens]
@@ -756,18 +767,17 @@ def count_class(ctx: EngineContext, h: int) -> ClassTerms:
         raise AssertionError("a fixed-point numerator is not divisible by n")
     fix //= n
 
-    # f alone in its class of C(h) commutes with all of C(h), so
-    # C(f) ∩ C(h) = C(h) and its medial term is its fixed term; checked
-    # exactly: f(g(x)) == g(f(x)) for every generator g of C(h) and every
-    # canonical generator x
+    # f alone in its class of C(h): its medial term is its fixed term, once
+    # f is checked to commute with C(h)'s generators
     single = sizes == 1
-    f1 = ftabs[single]
-    if (f1[:, gtabs[:, gp]] != gtabs[:, f1[:, gp]].swapaxes(0, 1)).any():
+    if not _commuting(ftabs[single], gp, gtabs[:, gp].T, gtabs.T).all():
         raise AssertionError("the scanned centralizer disagrees with the class size")
     medial_fixed = fix.copy()
     rest = ~single
     if rest.any():
-        medial_fixed[rest] = _medial_fixed(ctx, t_h, fs[rest], sizes[rest], cols_c)
+        medial_fixed[rest] = _medial_fixed(
+            ctx, t_h, fs[rest], ftabs[rest], moved[:, gp][rest], sizes[rest], cols_c
+        )
     return ClassTerms(
         rep=h,
         centralizer_order=c_size,
@@ -818,12 +828,10 @@ def enumerate_counts(
     |Aut|, and the sums must divide by it.
     """
     ctx = EngineContext(group, aut)
-    class_labels = ctx.class_labels
-    reps = np.flatnonzero(class_labels == np.arange(ctx.N, dtype=class_labels.dtype))
-    class_reps = [int(r) for r in reps]
+    class_reps = _roots(ctx.class_labels).tolist()
     # the per-class routes read the action tables: built here, before a pool
     # forks, the workers share the parent's one copy
-    tables_mb = ctx.tables.nbytes / 1e6
+    tables_mb = aut.tables.nbytes / 1e6
     log.info(
         "%s: |Aut|=%d, %d conjugacy classes, %.0f MB of tables",
         group.descriptor,

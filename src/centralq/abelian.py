@@ -329,6 +329,10 @@ def parse_group(descriptor: str) -> AbelianGroup:
             raise ValueError(f"cannot parse factor {part!r} in {descriptor!r}")
         q = int(m.group(1))
         mult = int(m.group(2)) if m.group(2) else 1
+        if q == 0 or mult == 0:
+            raise ValueError(
+                f"factor {part!r} in {descriptor!r}: order and power must be at least 1"
+            )
         if q == 1:
             continue
         factors.extend(_factorize(q) * mult)

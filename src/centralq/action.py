@@ -13,7 +13,7 @@ from typing import Mapping
 
 import numpy as np
 
-from ._engine import EngineContext, _orbit_min_labels
+from ._engine import EngineContext, _orbit_min_labels, _roots
 from .endo import AutGroup, Endomorphism
 
 
@@ -42,7 +42,7 @@ def conjugacy_class_reps(A: AutGroup) -> OrbitPartition:
     """Partition of A into conjugacy classes (points are member indices)."""
     ctx = EngineContext(A.group, A)
     labels = ctx.conjugacy_class_labels()
-    reps = np.flatnonzero(labels == np.arange(len(A), dtype=labels.dtype))
+    reps = _roots(labels)
     sizes = {}
     counts = np.bincount(labels, minlength=len(A))
     for r in reps:
@@ -75,4 +75,4 @@ def direct_pair_orbit_count(A: AutGroup, cap: int = 4096) -> int:
         p = ctx.conj_perm(g)
         perms.append((p[:, None] * size + p[None, :]).reshape(-1))
     labels = _orbit_min_labels(perms, size * size)
-    return int(np.count_nonzero(labels == np.arange(size * size, dtype=labels.dtype)))
+    return len(_roots(labels))

@@ -25,7 +25,7 @@ from math import gcd
 from pathlib import Path
 
 from . import _engine
-from .abelian import AbelianGroup, abelian_groups_of_order, direct_product, parse_group
+from .abelian import AbelianGroup, _is_prime, abelian_groups_of_order, direct_product, parse_group
 from .endo import (
     DEFAULT_AUT_BUDGET,
     ResourceLimitError,
@@ -111,18 +111,14 @@ class OrderReport:
 # closed formula for cyclic groups of prime power order
 
 
-def _check_prime(p: int) -> None:
-    if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
-        raise ValueError(f"{p} is not prime")
-
-
 def cq_cyclic_prime_power(p: int, k: int) -> int:
     """Number of quasigroup classes over the cyclic group of order p**k.
 
     Every such quasigroup is medial (the automorphism group is
     commutative), so this value is both the central and the medial count.
     """
-    _check_prime(p)
+    if not _is_prime(p):
+        raise ValueError(f"{p} is not prime")
     if k < 1:
         raise ValueError("exponent must be >= 1")
     return p ** (2 * k) + p ** (2 * k - 2) - p ** (k - 1) - sum(

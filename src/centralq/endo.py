@@ -37,7 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .abelian import AbelianGroup, GroupElement, Subgroup
+from .abelian import AbelianGroup, GroupElement, Subgroup, _factorize
 
 DEFAULT_AUT_BUDGET = 20_000_000
 
@@ -260,21 +260,11 @@ def aut_group_order(group: AbelianGroup) -> int:
 def _primitive_root(p: int, e: int) -> int:
     m = p**e
     phi = m // p * (p - 1)
-    factors = set()
-    x = phi
-    d = 2
-    while d * d <= x:
-        if x % d == 0:
-            factors.add(d)
-            while x % d == 0:
-                x //= d
-        d += 1
-    if x > 1:
-        factors.add(x)
+    primes = [q for q, _ in _factorize(phi)]
     for g in range(2, m):
         if g % p == 0:
             continue
-        if all(pow(g, phi // q, m) != 1 for q in factors):
+        if all(pow(g, phi // q, m) != 1 for q in primes):
             return g
     raise AssertionError(f"no primitive root mod {m}")
 

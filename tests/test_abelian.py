@@ -168,6 +168,13 @@ def test_parse_group():
         parse_group("")
 
 
+@pytest.mark.parametrize("desc", ["C0", "C0xC2", "C6^0xC3", "C1^0"])
+def test_parse_group_refuses_order_zero_and_power_zero(desc):
+    # a factor of order 0 or a zeroth power is no group; neither is dropped
+    with pytest.raises(ValueError, match="must be at least 1"):
+        parse_group(desc)
+
+
 def test_direct_product():
     g = direct_product(cyclic_group(4), cyclic_group(3))
     assert g.descriptor == "C4xC3"

@@ -67,6 +67,14 @@ def test_parse_error_exit_code(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("desc", ["C0", "C0xC2", "C6^0xC3"])
+def test_zero_order_or_power_is_a_usage_error(capsys, desc):
+    code, out, err = run(capsys, "count", "--group", desc, "--no-cache")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: ") and "must be at least 1" in err
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as info:
         main(["count"])  # neither --group nor --order
@@ -101,6 +109,28 @@ def test_budget_exit_code(capsys):
     code, _, err = run(capsys, "count", "--group", "C2^6", "--no-cache")
     assert code == EXIT_RESOURCE
     assert "20158709760" in err
+
+
+def test_reps_over_budget_exit_code(capsys):
+    code, out, err = run(capsys, "reps", "--group", "C2^5", "--aut-budget", "1000", "--no-cache")
+    assert code == EXIT_RESOURCE
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "9999360 elements, over the budget of 1000" in err
+    assert "Traceback" not in err
+
+
+def test_table_over_budget_exit_code(capsys):
+    code, out, err = run(capsys, "table", "--max", "4", "--aut-budget", "1", "--no-cache")
+    assert code == EXIT_RESOURCE
+    # C2xC2's row is printed without its counts; cyclic prime power rows come
+    # from the closed form, which builds no automorphism group
+    assert err.splitlines() == [
+        "automorphism group of C2xC2 has 6 elements, over the budget of 1",
+        "some rows exceeded the automorphism budget",
+    ]
+    row = [l.split() for l in out.splitlines() if "C2xC2" in l]
+    assert row == [["4", "4/2", "C2xC2", "6"]]
 
 
 def test_broken_worker_pool_exit_code(capsys, monkeypatch):

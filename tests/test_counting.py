@@ -11,6 +11,7 @@ from centralq.counting import (
     cq_cyclic_prime_power,
     cq_mq_of_order,
     cyclic_prime_power_report,
+    default_cache_dir,
     enumerate_group,
     group_report,
 )
@@ -206,6 +207,19 @@ def test_group_report_uses_cache(tmp_path):
     (tmp_path / "C3xC3.json").write_text(json.dumps(payload))
     second = group_report(g, cache=cache)
     assert second.cq == 9999 and first.cq == 183
+
+
+def test_default_cache_dir_resolution(tmp_path, monkeypatch):
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    monkeypatch.setenv("CENTRALQ_CACHE_DIR", str(tmp_path / "own"))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    assert default_cache_dir() == tmp_path / "own"
+    monkeypatch.setenv("CENTRALQ_CACHE_DIR", "")  # empty counts as unset
+    assert default_cache_dir() == tmp_path / "xdg" / "centralq"
+    monkeypatch.delenv("CENTRALQ_CACHE_DIR")
+    monkeypatch.delenv("XDG_CACHE_HOME")
+    assert default_cache_dir() == tmp_path / "home" / ".cache" / "centralq"
+    assert ReportCache().directory == tmp_path / "home" / ".cache" / "centralq"
 
 
 def test_cache_round_trip(tmp_path):
