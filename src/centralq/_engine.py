@@ -18,19 +18,21 @@ C(f) ∩ C(h) = C(h) and the medial term is the central one, with no
 joins.  A proper centralizer C(h) is worked in its own sorted member
 list: its generators are found by a local search (right multiplication
 by a candidate is a permutation of local positions, and the subgroup
-generated so far grows by a breadth-first sweep of those), its classes
-by conjugation restricted to those positions, and C(f) ∩ C(h) for a run
-of terms f by one array pass over C(h), the same commuting test
-(_commuting) that scans Aut(G) for C(f).  Member indices become local
-positions through one N-entry map per context, read back against the
-list.  agens and conj_perm are the same search and conjugation over all
-of Aut(G)'s members, whose values they evaluate from the generator
-images: the Aut-wide stages (generators, conjugation, class labels)
-never build the N x n action tables, which the per-class routes read.
-enumerate_counts builds them once, before a pool forks.  The tables are
-element-major, so a centralizer scan reads one contiguous row of all
-members' values per element, and a member list's values (its "cols",
-row x holding m(x) for every member m) are one row gather.
+generated so far grows by doubling along the new one and a breadth-first
+sweep of all of them), its classes by conjugation restricted to those
+positions, and C(f) ∩ C(h) for a run of terms f by one array pass over
+C(h), the same commuting test (_commuting) that scans Aut(G) for C(f).
+Member indices become local positions through one N-entry map per
+context, read back against the list.  Aut(G) itself needs no search:
+agens is the generating set its closure grew from (AutGroup.gens).
+conj_perm is the same conjugation over all of Aut(G)'s members, whose
+values it evaluates from the generator images: the Aut-wide stages
+(conjugation, class labels) never build the N x n action tables, which
+the per-class routes read and enumerate_counts builds once, before a
+pool forks.  The tables are element-major, so a centralizer scan reads
+one contiguous row of all members' values per element, and a member
+list's values (its "cols", row x holding m(x) for every member m) are
+one row gather.
 
 process_class builds the pair space of one representative and labels its
 orbits; it serves the explicit classification, which needs one point per
@@ -292,7 +294,6 @@ class EngineContext:
         self.gen_pos = aut.gen_pos
         self.seed_base = f"enumeration:{group.descriptor}"
         self.subgroups = SubgroupRegistry(group)
-        self._agens: list[int] | None = None
         self._class_labels: np.ndarray | None = None
         self._centralizers: dict[int, np.ndarray] = {}
         self._position_map: np.ndarray | None = None
@@ -329,26 +330,23 @@ class EngineContext:
             frontier = np.concatenate(new) if new else np.empty(0, np.int64)
         return mask, size
 
-    def find_generators(
-        self, members: np.ndarray, cols: np.ndarray | None, seed: str
-    ) -> list[int]:
-        """A small generating set for a subgroup given by its member list.
+    def find_generators(self, members: np.ndarray, cols: np.ndarray, seed: str) -> list[int]:
+        """A small generating set for a proper subgroup given by its member list.
 
         members is the sorted member-index list and cols their values (row
-        x holds m(x) for every member m), or None when members is the whole
-        group (see _member_products).  Random members outside the subgroup
-        generated so far are added until it is all of members; each
-        addition at least doubles it, so 64 tries cover any group.  The
-        search never leaves the member list: right multiplication by a
-        drawn generator is computed once, as a permutation of local
-        positions (m -> m g, read through position_map and checked), and
-        the subgroup grows by a breadth-first sweep of those permutations
-        from the positions it already holds.  agens is this search over the
-        whole group, where positions are member indices.
+        x holds m(x) for every member m).  Random members outside the
+        subgroup generated so far are added until it is all of members;
+        each addition at least doubles it, so 64 tries cover any group.
+        The search never leaves the member list: right multiplication by a
+        drawn generator g is computed once, as a permutation q of local
+        positions (m -> m g, read through position_map and checked).  The
+        subgroup S first grows to S<g> by doubling (S <- S ∪ S q, q <- q q),
+        then by a breadth-first sweep of all the permutations from the
+        positions it holds.  Aut(G) itself is never searched: its
+        generators are agens.
         """
         c_size = len(members)
-        # over the whole group, positions are member indices
-        pos_map = self.position_map(members) if c_size < self.N else None
+        pos_map = self.position_map(members)
         rng = random.Random(f"{self.seed_base}:{seed}")
         gens: list[int] = []
         perms: list[np.ndarray] = []
@@ -359,9 +357,17 @@ class EngineContext:
             outside = members[~inside]
             gens.append(int(outside[rng.randrange(len(outside))]))
             pos = _member_products(self, cols, gens[-1])
-            if pos_map is not None:
-                pos = _positions(members, pos_map, pos, "closure left the subgroup")
+            pos = _positions(members, pos_map, pos, "closure left the subgroup")
             perms.append(pos.astype(np.int32, copy=False))
+            # S<g> = S {1, g, ..., g^(2^k - 1)} once S g^(2^k) adds nothing
+            q = perms[-1]
+            while True:
+                idx = q.compress(inside)
+                idx = idx.compress(~inside.take(idx))
+                if not len(idx):
+                    break
+                inside.put(idx, True)
+                q = q.take(q)
             frontier = np.flatnonzero(inside)
             while len(frontier):
                 new = []  # marked before the next generator runs, as in closure_mask
@@ -377,15 +383,12 @@ class EngineContext:
 
     @property
     def agens(self) -> list[int]:
-        """A reduced generating set for the whole automorphism group.
+        """A small generating set for the whole automorphism group.
 
-        find_generators over the whole group's member list, computed once,
-        with every product evaluated from the generator images.
+        The members Aut(G)'s closure grew from (AutGroup.gens): the closure
+        reached |Aut|, so they generate it, and no search is made.
         """
-        if self._agens is None:
-            members = np.arange(self.N, dtype=np.int32)
-            self._agens = self.find_generators(members, None, "whole-group")
-        return self._agens
+        return self.aut.gens
 
     def position_map(self, members: np.ndarray) -> np.ndarray:
         """N-entry int32 map from member index to position in a member list.

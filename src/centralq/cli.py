@@ -437,6 +437,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.jobs < 1:
         parser.error(f"argument --jobs: must be at least 1, got {args.jobs}")
+    # table and verify: a bound below 1 would check no cell and still exit 0
+    if getattr(args, "max", 1) < 1:
+        parser.error(f"argument --max: must be at least 1, got {args.max}")
     # CENTRALQ_AUT_BUDGET arrives here too, as the option's default
     if args.aut_budget < 1:
         parser.error(f"argument --aut-budget: must be at least 1, got {args.aut_budget}")

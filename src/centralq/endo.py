@@ -11,11 +11,13 @@ automorphism at every element, are evaluated from the images only when
 per-class work first reads them, and are stored element-major like the
 images: one contiguous row of member values per element.
 
-Aut(G) is built one way for every group: a breadth-first closure over
-generator images from the elementary matrices (unit scalings and minimal
-transvections) of each prime component, embedded with identity blocks on
-the other primes.  Each round's new members are ordered by key, and the
-closure must reach exactly the order given by the |Aut| formula.
+Aut(G) is built one way for every group: a closure over generator
+images from a few seeded random members, each a word in the elementary
+matrices (unit scalings and minimal transvections) of each prime
+component, embedded with identity blocks on the other primes.  Each
+round's new members are ordered by key, and the closure must reach
+exactly the order given by the |Aut| formula, which proves that the
+drawn members generate Aut(G); AutGroup keeps them as its generating set.
 
 An automorphism is determined by the images of the rank canonical
 generators, and generator i can only map into a known finite set of
@@ -32,6 +34,7 @@ C2^5, against 320 MB of tables.
 
 from __future__ import annotations
 
+import random
 from collections.abc import Sequence
 from functools import cached_property
 
@@ -360,47 +363,90 @@ def _generators(group: AbelianGroup) -> list[Endomorphism]:
 _TABLE_ENTRIES = 1 << 19
 
 
-def _images_by_closure(gp: AbelianGroup, gen_tables: list[np.ndarray], expected: int) -> np.ndarray:
-    """Grow the group's generator images from generator tables by breadth-first closure.
+# consecutive draws inside the closure before the closure falls back to an
+# elementary matrix outside it
+_MAX_DRAWS = 64
+
+
+def _random_word(rng: random.Random, mats: list[np.ndarray]) -> np.ndarray:
+    """Table of a product of matrices drawn from mats by rng, 4 len(mats) on average.
+
+    The length is drawn too: words of one fixed length L over a single
+    matrix r would all be r^L.
+    """
+    t = mats[rng.randrange(len(mats))]
+    for _ in range(rng.randrange(8 * len(mats))):
+        t = mats[rng.randrange(len(mats))][t]
+    return t
+
+
+def _images_by_closure(
+    gp: AbelianGroup, mats: list[np.ndarray], expected: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Grow the group's generator images by closure over a few seeded random members.
+
+    mats are the elementary matrices' tables.  Each generator is a random
+    word in them (_random_word), drawn from an RNG seeded by the group's
+    descriptor, and kept only if it lies outside the closure so far; after
+    _MAX_DRAWS draws inside it, the first matrix outside it is taken.  A new
+    generator is applied after every member so far, and rounds then go on
+    over the fresh members with every generator, until the closure is
+    closed again.  The closure is complete when it reaches |Aut|, so the
+    generators need only a handful of key passes per member.
 
     A member is its rank generator images, and generator g applied after
     member m has images g[m's images].  Their keys are read through the key
     codes composed with g, so g's images are gathered only for the
     products not seen before.  Each round's new members are ordered by
     key, so a member's index does not depend on which generator reached it
-    first.  The images are column-major: every pass over them
-    (keys, evaluation, centralizer tests) reads one generator's column.
+    first, and the identity is member 0.  The images are column-major:
+    every pass over them (keys, evaluation, centralizer tests) reads one
+    generator's column.  Returns the images and the generators' images.
     """
     codes, space = _image_codes(gp)
-    gen_codes = [codes[:, g] for g in gen_tables]
+    gen_pos = np.asarray(gp._strides)
     images = np.empty((expected, gp.rank), dtype=gp.index_dtype, order="F")
-    images[0] = gp._strides
+    images[0] = gen_pos
     seen = np.zeros(space, dtype=bool)
     seen[_keys_of_images(codes, images[:1])] = True
-    lo, hi = 0, 1
-    # with no generators (Aut(C2), the trivial group) the identity is all
-    while lo < hi and gen_tables:
-        frontier = images[lo:hi]
-        round_images, round_keys = [], []
-        for g, g_codes in zip(gen_tables, gen_codes):
-            keys = _keys_of_images(g_codes, frontier)
-            fresh = np.flatnonzero(~seen[keys])
-            keys = keys[fresh]
-            seen[keys] = True
-            round_images.append(g[frontier[fresh]])
-            round_keys.append(keys)
-        keys = np.concatenate(round_keys)
-        end = hi + len(keys)
-        if end > expected:
-            raise AssertionError("closure overshot the predicted group order")
-        images[hi:end] = np.concatenate(round_images, axis=0)[np.argsort(keys)]
-        lo, hi = hi, end
-    if hi != expected:
-        raise AssertionError(
-            f"generating set incomplete for {gp.descriptor}: "
-            f"closure size {hi} != |Aut| = {expected}"
-        )
-    return images
+    rng = random.Random(f"aut-generators:{gp.descriptor}")
+
+    def outside(t: np.ndarray) -> bool:
+        return not seen[_keys_of_images(codes, t[None, gen_pos])[0]]
+
+    gens: list[np.ndarray] = []
+    hi = 1
+    # with no matrices (Aut(C2), the trivial group) the identity is all
+    while hi < expected:
+        draws = (_random_word(rng, mats) for _ in range(_MAX_DRAWS if mats else 0))
+        g = next((t for t in draws if outside(t)), None)
+        if g is None:
+            g = next((t for t in mats if outside(t)), None)
+        if g is None:
+            raise AssertionError(
+                f"generating set incomplete for {gp.descriptor}: "
+                f"closure size {hi} != |Aut| = {expected}"
+            )
+        gens.append(g)
+        lo, acting = 0, [g]
+        while lo < hi:
+            frontier = images[lo:hi]
+            round_images, round_keys = [], []
+            for t in acting:
+                keys = _keys_of_images(codes[:, t], frontier)
+                fresh = np.flatnonzero(~seen[keys])
+                keys = keys[fresh]
+                seen[keys] = True
+                round_images.append(t[frontier[fresh]])
+                round_keys.append(keys)
+            keys = np.concatenate(round_keys)
+            end = hi + len(keys)
+            if end > expected:
+                raise AssertionError("closure overshot the predicted group order")
+            images[hi:end] = np.concatenate(round_images, axis=0)[np.argsort(keys)]
+            lo, hi, acting = hi, end, gens
+    gen_images = np.asarray([t[gen_pos] for t in gens], dtype=gp.index_dtype)
+    return images, gen_images.reshape(len(gens), gp.rank)
 
 
 class AutGroup:
@@ -422,11 +468,14 @@ class AutGroup:
     the permutation of element indices induced by member m, are built only
     when `tables` is first read, from the images too, and stored
     element-major (`tables.T` is C-contiguous).  Aut-wide work
-    (generators, conjugation, class labels) never reads them; per-class
-    work does.
+    (conjugation, class labels) never reads them; per-class work does.
+
+    `gens` are the member indices of the generating set the closure grew
+    from (given by their images, gen_images): the closure reached |Aut|,
+    so they generate the whole group.
     """
 
-    def __init__(self, group: AbelianGroup, images: np.ndarray):
+    def __init__(self, group: AbelianGroup, images: np.ndarray, gen_images: np.ndarray):
         self.group = group
         self.images = images
         self.images.setflags(write=False)
@@ -439,6 +488,7 @@ class AutGroup:
             raise AssertionError("duplicate members in automorphism group")
         self.index.setflags(write=False)
         self.identity_index = self.index_of_table(identity(group).table)
+        self.gens = self.lookup_images(gen_images).tolist() or [self.identity_index]
 
     def __len__(self):
         return len(self.images)
@@ -591,14 +641,14 @@ class _MemberSeq(Sequence):
 def aut_group(group: AbelianGroup, budget: int | None = DEFAULT_AUT_BUDGET) -> AutGroup:
     """Construct Aut(G) completely, refusing when it would exceed the budget.
 
-    The members are grown by breadth-first closure from the elementary
-    matrices of every prime component (identity on the other primes).
-    The closure must reach exactly the order given by the formula.  The
-    group keeps no generating set of its own; the engine searches for a
-    small one (`EngineContext.agens`).
+    The members are grown by closure over a few seeded random words in
+    the elementary matrices of every prime component (identity on the
+    other primes).  The closure must reach exactly the order given by the
+    formula, so the drawn members generate Aut(G): the group keeps them as
+    its generating set (`AutGroup.gens`, the engine's `agens`).
     """
     expected = aut_group_order(group)
     if budget is not None and expected > budget:
         raise ResourceLimitError(group, expected, budget)
-    images = _images_by_closure(group, [f.table for f in _generators(group)], expected)
-    return AutGroup(group, images)
+    images, gen_images = _images_by_closure(group, [f.table for f in _generators(group)], expected)
+    return AutGroup(group, images, gen_images)

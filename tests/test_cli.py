@@ -89,6 +89,16 @@ def test_jobs_below_one_is_a_usage_error(capsys, jobs):
     assert f"argument --jobs: must be at least 1, got {jobs}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["table", "verify"])
+@pytest.mark.parametrize("bound", ["0", "-2"])
+def test_max_below_one_is_a_usage_error(capsys, command, bound):
+    with pytest.raises(SystemExit) as info:
+        main([command, "--max", bound, "--no-cache"])
+    assert info.value.code == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and f"argument --max: must be at least 1, got {bound}" in err
+
+
 @pytest.mark.parametrize("budget", ["0", "-5"])
 def test_budget_below_one_is_a_usage_error(capsys, budget):
     with pytest.raises(SystemExit) as info:

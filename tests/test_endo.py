@@ -270,10 +270,10 @@ def _tables_md5(A):
 @pytest.mark.parametrize(
     "desc,ident,first_gens",
     [
-        ("C2^4", 0, [1, 2, 3, 4, 5, 6]),
-        ("C4xC4xC4", 0, [1, 2, 3, 4, 5, 6]),
-        ("C4xC4xC2xC2", 0, [1, 2, 3, 4, 5, 6]),
-        ("C4xC2xC3", 0, [1, 2, 3, 4]),
+        ("C2^4", 0, [448, 750, 754, 1452, 1454, 2131]),
+        ("C4xC4xC4", 0, [8976, 8978, 9021, 18373, 29760, 32046]),
+        ("C4xC4xC2xC2", 0, [4096, 10244, 10256, 10272, 10656, 27136]),
+        ("C4xC2xC3", 0, [2, 4, 8, 10]),
     ],
 )
 def test_member_order_is_pinned(desc, ident, first_gens):
@@ -287,9 +287,9 @@ def test_member_order_is_pinned(desc, ident, first_gens):
 @pytest.mark.parametrize(
     "desc,digest",
     [
-        ("C3^3", "cdb2ae603d2027fa614be5bb7a7edaad"),  # equal exponents
-        ("C4xC4xC2xC2", "559fa23a015f5a7cb10141e7c74c0358"),  # mixed exponents
-        ("C4xC2xC3", "40523158b1d6cb06644538eeaa159693"),  # two primes
+        ("C3^3", "337f6589147c69b90df98f29832606b9"),  # equal exponents
+        ("C4xC4xC2xC2", "3a6ee9f6e8756e006c6f4bfe747b5bf3"),  # mixed exponents
+        ("C4xC2xC3", "b7a5778fa6ddebdd7a8b877189f05052"),  # two primes
     ],
 )
 def test_member_tables_are_pinned(desc, digest):
@@ -390,4 +390,15 @@ def test_duplicate_members_are_refused():
     images = A.images.copy(order="F")
     images[1] = images[0]
     with pytest.raises(AssertionError, match="duplicate members"):
-        endo_mod.AutGroup(A.group, images)
+        endo_mod.AutGroup(A.group, images, A.images[A.gens])
+
+
+@pytest.mark.parametrize("desc", ["C4xC2xC3", "C3^3", "C8xC4xC2"])
+def test_closure_falls_back_to_the_elementary_matrices(desc, monkeypatch):
+    # every drawn word is the identity, so no draw is ever outside the closure
+    g = parse_group(desc)
+    monkeypatch.setattr(endo_mod, "_random_word", lambda rng, mats: np.arange(g.order))
+    A = aut_group(g)
+    assert len(A) == aut_group_order(g) and A.identity_index == 0
+    elementary = {A.index_of(f) for f in endo_mod._generators(g)}
+    assert set(A.gens) <= elementary
