@@ -812,7 +812,6 @@ class GroupCounts:
     commuting_pair_orbits: int
     cq: int
     mq: int
-    class_reps: list[int]
     # ClassTerms per representative, or ClassResult with collect=True
     class_results: list[ClassTerms] | list[ClassResult]
 
@@ -886,6 +885,5 @@ def enumerate_counts(
         commuting_pair_orbits=sum(r.commuting_pair_orbits for r in results),
         cq=cq_num // ctx.N,
         mq=mq_num // ctx.N,
-        class_reps=class_reps,
         class_results=results,
     )

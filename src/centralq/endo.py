@@ -12,9 +12,9 @@ per-class work first reads them, and are stored element-major like the
 images: one contiguous row of member values per element.
 
 Aut(G) is built one way for every group: a closure over generator
-images from a few seeded random members, each a word in the elementary
-matrices (unit scalings and minimal transvections) of each prime
-component, embedded with identity blocks on the other primes.  Each
+images from a few seeded random members, each a uniformly random
+automorphism drawn as a legal tuple of generator images (the same legal
+images that number the members below) whose matrix is a bijection.  Each
 round's new members are ordered by key, and the closure must reach
 exactly the order given by the |Aut| formula, which proves that the
 drawn members generate Aut(G); AutGroup keeps them as its generating set.
@@ -40,7 +40,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .abelian import AbelianGroup, GroupElement, Subgroup, _factorize
+from .abelian import AbelianGroup, GroupElement, Subgroup
 
 DEFAULT_AUT_BUDGET = 20_000_000
 
@@ -257,54 +257,6 @@ def aut_group_order(group: AbelianGroup) -> int:
 
 
 # ---------------------------------------------------------------------------
-# generating sets per prime component
-
-
-def _primitive_root(p: int, e: int) -> int:
-    m = p**e
-    phi = m // p * (p - 1)
-    primes = [q for q, _ in _factorize(phi)]
-    for g in range(2, m):
-        if g % p == 0:
-            continue
-        if all(pow(g, phi // q, m) != 1 for q in primes):
-            return g
-    raise AssertionError(f"no primitive root mod {m}")
-
-
-def _unit_generators(p: int, e: int) -> list[int]:
-    if p == 2:
-        if e == 1:
-            return []
-        if e == 2:
-            return [3]
-        return [2**e - 1, 5]
-    return [_primitive_root(p, e)]
-
-
-def _elementary_matrices(p: int, exps: Sequence[int]) -> list[list[list[int]]]:
-    """Unit scalings and minimal transvections; together they generate."""
-    k = len(exps)
-    mats = []
-
-    def eye():
-        return [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-
-    for i in range(k):
-        for u in _unit_generators(p, exps[i]):
-            m = eye()
-            m[i][i] = u
-            mats.append(m)
-    for i in range(k):
-        for j in range(k):
-            if i != j:
-                m = eye()
-                m[i][j] = p ** max(0, exps[i] - exps[j])
-                mats.append(m)
-    return mats
-
-
-# ---------------------------------------------------------------------------
 # automorphism group construction
 
 
@@ -348,51 +300,50 @@ def _keys_of_images(codes: np.ndarray, images: np.ndarray) -> np.ndarray:
     return keys
 
 
-def _generators(group: AbelianGroup) -> list[Endomorphism]:
-    """Elementary matrices of each prime component, identity on the others."""
-    eye = identity(group).blocks
-    gens = []
-    for c, (p, i0, i1) in enumerate(group.prime_spans):
-        for m in _elementary_matrices(p, [e for _, e in group.factors[i0:i1]]):
-            gens.append(Endomorphism(group, eye[:c] + (m,) + eye[c + 1 :]))
-    return gens
-
-
 # entries of one chunk of the table build: its intp block indices then stay
 # in cache (Aut(C5^3)'s tables: 0.71 s at 2^19 entries, 1.5 s at 2^15)
 _TABLE_ENTRIES = 1 << 19
 
 
-# consecutive draws inside the closure before the closure falls back to an
-# elementary matrix outside it
+# consecutive draws inside the closure before it gives up: a uniform draw
+# lies in a proper subgroup with probability at most 1/2, so a closure short
+# of |Aut| is given up on wrongly with probability at most 2^-64
 _MAX_DRAWS = 64
 
 
-def _random_word(rng: random.Random, mats: list[np.ndarray]) -> np.ndarray:
-    """Table of a product of matrices drawn from mats by rng, 4 len(mats) on average.
+def _random_automorphism(
+    gp: AbelianGroup, rng: random.Random, legal: list[np.ndarray]
+) -> np.ndarray:
+    """Table of a uniformly random automorphism.
 
-    The length is drawn too: words of one fixed length L over a single
-    matrix r would all be r^L.
+    legal[i] holds generator i's legal images; one is drawn for each
+    generator until the matrix they give is a bijection.  Row i of the
+    matrix is image i's coordinates, so the table is the coordinate
+    product of Endomorphism.table, over all primes at once: the legal
+    images are zero across primes.
     """
-    t = mats[rng.randrange(len(mats))]
-    for _ in range(rng.randrange(8 * len(mats))):
-        t = mats[rng.randrange(len(mats))][t]
-    return t
+    coords = gp.coords_array
+    while True:
+        picks = [int(v[rng.randrange(len(v))]) for v in legal]
+        t = gp.pack_coords(coords @ coords[picks])
+        if np.bincount(t, minlength=gp.order).all():
+            return t.astype(gp.index_dtype)
 
 
-def _images_by_closure(
-    gp: AbelianGroup, mats: list[np.ndarray], expected: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _images_by_closure(gp: AbelianGroup, expected: int) -> tuple[np.ndarray, np.ndarray]:
     """Grow the group's generator images by closure over a few seeded random members.
 
-    mats are the elementary matrices' tables.  Each generator is a random
-    word in them (_random_word), drawn from an RNG seeded by the group's
-    descriptor, and kept only if it lies outside the closure so far; after
-    _MAX_DRAWS draws inside it, the first matrix outside it is taken.  A new
-    generator is applied after every member so far, and rounds then go on
-    over the fresh members with every generator, until the closure is
-    closed again.  The closure is complete when it reaches |Aut|, so the
-    generators need only a handful of key passes per member.
+    Each generator is a uniformly random automorphism
+    (`_random_automorphism`) drawn from an RNG seeded by the group's
+    descriptor.  Legal matrices are one to one with the dense keys (see
+    `_image_codes`), so the draw is uniform on Aut(G) and takes space /
+    |Aut| tries on average: at most 12 (see AutGroup).  A draw becomes a
+    generator only if it lies outside the closure so far; after _MAX_DRAWS
+    draws in a row inside it, a closure short of |Aut| is reported
+    incomplete.  A new generator is applied after every member so far, and
+    rounds then go on over the fresh members with every generator, until
+    the closure is closed again.  The closure is complete when it reaches
+    |Aut|, so the generators need only a handful of key passes per member.
 
     A member is its rank generator images, and generator g applied after
     member m has images g[m's images].  Their keys are read through the key
@@ -410,18 +361,16 @@ def _images_by_closure(
     seen = np.zeros(space, dtype=bool)
     seen[_keys_of_images(codes, images[:1])] = True
     rng = random.Random(f"aut-generators:{gp.descriptor}")
+    legal = [np.flatnonzero(c < space) for c in codes]
 
     def outside(t: np.ndarray) -> bool:
         return not seen[_keys_of_images(codes, t[None, gen_pos])[0]]
 
     gens: list[np.ndarray] = []
     hi = 1
-    # with no matrices (Aut(C2), the trivial group) the identity is all
     while hi < expected:
-        draws = (_random_word(rng, mats) for _ in range(_MAX_DRAWS if mats else 0))
+        draws = (_random_automorphism(gp, rng, legal) for _ in range(_MAX_DRAWS))
         g = next((t for t in draws if outside(t)), None)
-        if g is None:
-            g = next((t for t in mats if outside(t)), None)
         if g is None:
             raise AssertionError(
                 f"generating set incomplete for {gp.descriptor}: "
@@ -593,10 +542,6 @@ class AutGroup:
             raise KeyError("some rows are not members of this automorphism group")
         return out.astype(np.int64)
 
-    def lookup_tables(self, tables: np.ndarray) -> np.ndarray:
-        """Indices of many members at once; raises if any row is foreign."""
-        return self.lookup_images(tables[:, self.gen_pos])
-
     def index_of_table(self, table: np.ndarray) -> int:
         try:
             return int(self.lookup_images(table[None, self.gen_pos])[0])
@@ -641,14 +586,14 @@ class _MemberSeq(Sequence):
 def aut_group(group: AbelianGroup, budget: int | None = DEFAULT_AUT_BUDGET) -> AutGroup:
     """Construct Aut(G) completely, refusing when it would exceed the budget.
 
-    The members are grown by closure over a few seeded random words in
-    the elementary matrices of every prime component (identity on the
-    other primes).  The closure must reach exactly the order given by the
-    formula, so the drawn members generate Aut(G): the group keeps them as
-    its generating set (`AutGroup.gens`, the engine's `agens`).
+    The members are grown by closure over a few seeded, uniformly random
+    automorphisms (see `_images_by_closure`).  The closure must reach
+    exactly the order given by the formula, so the drawn members generate
+    Aut(G): the group keeps them as its generating set (`AutGroup.gens`,
+    the engine's `agens`).
     """
     expected = aut_group_order(group)
     if budget is not None and expected > budget:
         raise ResourceLimitError(group, expected, budget)
-    images, gen_images = _images_by_closure(group, [f.table for f in _generators(group)], expected)
+    images, gen_images = _images_by_closure(group, expected)
     return AutGroup(group, images, gen_images)

@@ -158,6 +158,24 @@ def test_broken_worker_pool_exit_code(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_unwritable_out_path_is_one_error_line(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.txt"
+    code, out, err = run(capsys, "count", "--group", "C2xC2", "--no-cache", "--out", str(target))
+    assert code == EXIT_USAGE and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_cache_dir_naming_a_file_is_one_error_line(capsys, tmp_path):
+    # the count finishes first; storing its report then fails
+    not_a_dir = tmp_path / "cache"
+    not_a_dir.write_text("")
+    code, _, err = run(capsys, "count", "--group", "C2xC2", "--cache-dir", str(not_a_dir))
+    assert code == EXIT_USAGE
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_count_order_over_budget_marks_unknown(capsys):
     code, out, err = run(
         capsys, "count", "--order", "32", "--aut-budget", "1000",
