@@ -2,9 +2,12 @@
 
 Everything here works on integer indices: group elements are element
 indices, automorphisms are member indices into an AutGroup's image array,
-and orbit partitions are computed by min-label propagation over
-permutation arrays (with pointer jumping), which stays fast for member
-counts in the millions.
+and orbit partitions are computed over permutation arrays.  Aut(G)'s
+conjugacy classes, few and large, are swept breadth-first one class at a
+time along the forward conjugation permutations (_sweep_labels); the
+actions with many small orbits (a centralizer's classes, orbits on G, the
+pair space) use min-label propagation with pointer jumping
+(_orbit_min_labels).  Both stay fast for member counts in the millions.
 
 The central count is the number of orbits of C(f) on the pairs
 (member psi, coset of Im(1 - f - psi)), summed over the conjugacy
@@ -82,6 +85,8 @@ _MAX_GENERATOR_TRIES = 64
 # members per pass of _member_products: its int64 keys then stay in cache
 # (three conjugations on Aut(C2^5): 2.4-2.6 s at 2^16 rows, 2.8-2.9 s at 2^19)
 _PRODUCT_ROWS = 1 << 16
+# first window of _sweep_labels' scan for the next unlabelled point
+_LABEL_WINDOW = 1 << 8
 
 
 def _inverse_perm(p: np.ndarray) -> np.ndarray:
@@ -113,7 +118,10 @@ def _orbit_min_labels(gens: list[np.ndarray], count: int) -> np.ndarray:
     labels, but only one step per round against their direction: on a
     single cycle numbered in increasing order along its generator that is
     one round per point (200 000 rounds for 200 000 points, against 10
-    with the inverses), so the inverses stay.
+    with the inverses), so the inverses stay.  Its callers are actions
+    with many small orbits: a centralizer's classes (_local_class_labels),
+    C(h)'s orbits on G (count_class) and the pair space (process_class).
+    Aut(G)'s classes are swept instead (conjugacy_class_labels).
     """
     dtype = np.int32 if count <= np.iinfo(np.int32).max else np.int64
     labels = np.arange(count, dtype=dtype)
@@ -128,6 +136,55 @@ def _orbit_min_labels(gens: list[np.ndarray], count: int) -> np.ndarray:
         labels = labels[labels]
         if np.array_equal(labels, prev):
             return labels
+
+
+def _sweep(perms: list[np.ndarray], frontier, marks: np.ndarray, value) -> None:
+    """Set marks to value at every point reachable from frontier along perms.
+
+    A breadth-first sweep along the permutations only, not their inverses:
+    an inverse is a power, so the forward closure is the whole orbit.  The
+    frontier's points must already hold value.  Each level takes every
+    permutation in turn and marks its new points before the next one
+    runs, so a frontier never repeats a point and needs no dedup.
+    take/compress/put: a frontier is often a few points, where they cost
+    about two thirds of the indexing calls.
+    """
+    while len(frontier):
+        new = []
+        for p in perms:
+            idx = p.take(frontier)
+            idx = idx.compress(marks.take(idx) != value)
+            marks.put(idx, value)
+            new.append(idx)
+        frontier = np.concatenate(new)
+
+
+def _sweep_labels(perms: list[np.ndarray], count: int) -> np.ndarray:
+    """_orbit_min_labels' labels by one breadth-first sweep per orbit.
+
+    Each sweep starts from the smallest point not yet labelled and marks
+    its orbit with it (_sweep), so orbits are labelled in increasing order
+    of their smallest point.  The next start is found by scanning forward
+    from the last in doubling windows: O(count) in all, plus a short
+    window per orbit.  A sweep pays one level per breadth-first step, so
+    this suits few large orbits (Aut(G)'s classes), not many small ones.
+    perms must not be empty.
+    """
+    dtype = np.int32 if count <= np.iinfo(np.int32).max else np.int64
+    labels = np.full(count, -1, dtype=dtype)
+    r = 0
+    while r < count:
+        labels[r] = r
+        _sweep(perms, [r], labels, r)
+        window = _LABEL_WINDOW
+        while r < count:
+            free = np.flatnonzero(labels[r : r + window] < 0)
+            if len(free):
+                r += int(free[0])
+                break
+            r += window
+            window *= 2
+    return labels
 
 
 def _roots(labels: np.ndarray) -> np.ndarray:
@@ -368,17 +425,7 @@ class EngineContext:
                     break
                 inside.put(idx, True)
                 q = q.take(q)
-            frontier = np.flatnonzero(inside)
-            while len(frontier):
-                new = []  # marked before the next generator runs, as in closure_mask
-                # take/compress/put: a frontier is often a few points, where
-                # they cost about two thirds of the indexing calls
-                for p in perms:
-                    idx = p.take(frontier)
-                    idx = idx.compress(~inside.take(idx))
-                    inside.put(idx, True)
-                    new.append(idx)
-                frontier = np.concatenate(new)
+            _sweep(perms, np.flatnonzero(inside), inside, True)
         return gens or [self.aut.identity_index]
 
     @property
@@ -423,7 +470,14 @@ class EngineContext:
         return members
 
     def conjugacy_class_labels(self) -> np.ndarray:
-        return _orbit_min_labels([self.conj_perm(g) for g in self.agens], self.N)
+        """Label every member with the smallest member of its conjugacy class.
+
+        The classes are the orbits of conjugation by agens, labelled by
+        one breadth-first sweep each (_sweep_labels), which gives the
+        labels of _orbit_min_labels: the permutations' inverses are never
+        built, and no round re-reads all N members until the labels settle.
+        """
+        return _sweep_labels([self.conj_perm(g) for g in self.agens], self.N)
 
     @property
     def class_labels(self) -> np.ndarray:

@@ -97,6 +97,15 @@ def test_orbit_reps_whole_group_match_classes():
     assert len(part.representatives) == 3
 
 
+@pytest.mark.parametrize("desc", ["C2^3", "C3xC3", "C4xC4", "C4xC2xC3", "C8xC2"])
+def test_class_reps_match_the_object_level_oracle(desc):
+    A = aut_group(parse_group(desc))
+    part = orbit_reps_conjugation(A, range(len(A)), range(len(A)))
+    classes = conjugacy_class_reps(A)
+    assert classes.representatives == part.representatives
+    assert classes.orbit_sizes == part.orbit_sizes
+
+
 def test_pair_orbit_sum_for_klein_group():
     # sum over conjugacy representatives f of the orbits of the
     # centralizer of f acting on the whole group: 11 pair orbits

@@ -14,6 +14,7 @@ from centralq._engine import (
     SubgroupRegistry,
     _coset_data,
     _orbit_min_labels,
+    _sweep_labels,
     count_class,
     enumerate_counts,
     process_class,
@@ -539,3 +540,62 @@ def test_orbit_labels_follow_inverses(monkeypatch):
     labels = _orbit_min_labels([cycle], count)
     assert not labels.any()
     assert rounds <= 64
+
+
+@pytest.mark.parametrize("desc", ["C2^4", "C3^3", "C4xC4xC2", "C8xC4xC2", "C11xC11", "C16"])
+def test_class_sweep_matches_min_label_propagation(desc):
+    # C16's Aut is abelian: every class is a singleton
+    A = aut_group(parse_group(desc))
+    ctx = EngineContext(A.group, A)
+    labels = ctx.conjugacy_class_labels()
+    expected = _orbit_min_labels([ctx.conj_perm(g) for g in ctx.agens], ctx.N)
+    assert labels.dtype == expected.dtype
+    assert np.array_equal(labels, expected)
+    if desc == "C16":
+        assert np.array_equal(labels, np.arange(ctx.N))
+
+
+def _block_perms(count, blocks, k, seed):
+    # k random permutations, each mapping every block onto itself; the
+    # blocks are random point sets, so orbits interleave in the numbering
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(count)
+    cuts = np.sort(rng.choice(np.arange(1, count), blocks - 1, replace=False))
+    perms = [np.empty(count, dtype=np.int64) for _ in range(k)]
+    for block in np.split(order, cuts):
+        for p in perms:
+            p[block] = rng.permutation(block)
+    return perms
+
+
+@pytest.mark.parametrize(
+    "perms",
+    [
+        [np.arange(500)],
+        [np.roll(np.arange(2000), -1)],
+        [np.roll(np.arange(2000), 1), np.arange(2000)],
+        _block_perms(3000, 40, 2, 0),
+        _block_perms(3000, 400, 3, 1),
+        _block_perms(5000, 7, 1, 2),
+    ],
+    ids=["fixed", "cycle", "cycle-backward", "blocks-40", "blocks-400", "blocks-one-perm"],
+)
+def test_sweep_labels_match_min_label_propagation(perms):
+    count = len(perms[0])
+    assert np.array_equal(_sweep_labels(perms, count), _orbit_min_labels(perms, count))
+
+
+def test_class_labels_never_invert_a_member_permutation(monkeypatch):
+    A = aut_group(parse_group("C3^3"))
+    ctx = EngineContext(A.group, A)
+    assert ctx.N != A.group.order  # an n-long group-table inverse is allowed
+    real = _engine._inverse_perm
+
+    def refuse(p):
+        if len(p) == ctx.N:
+            raise AssertionError("an N-long permutation was inverted")
+        return real(p)
+
+    monkeypatch.setattr(_engine, "_inverse_perm", refuse)
+    labels = ctx.conjugacy_class_labels()
+    assert len(_engine._roots(labels)) == 24
