@@ -34,7 +34,7 @@ from .counting import (
     cq_mq_of_order,
     group_report,
 )
-from .endo import ResourceLimitError, aut_group_order
+from .endo import ResourceLimitError
 from .quasigroup import build_quasigroup
 
 log = logging.getLogger(__name__)
@@ -101,22 +101,16 @@ def load_fixture(path: str | Path | None = None):
     groups_text = (base / "reference_groups.csv").read_text()
     orders_text = (base / "reference_orders.csv").read_text()
 
-    group_rows = []
-    for rec in csv.DictReader(io.StringIO(groups_text)):
-        row = FixtureRow(
-            order=int(rec["order"]),
-            gap_id=rec["gap_id"] or None,
-            descriptor=rec["descriptor"],
-            aut_order=_cell(rec["aut_order"]),
-            conj_classes=_cell(rec["conj_classes"]),
-            pair_orbits=_cell(rec["pair_orbits"]),
-            cq=_cell(rec["cq"]),
-            commuting_pair_orbits=_cell(rec["commuting_pair_orbits"]),
-            mq=_cell(rec["mq"]),
-        )
-        if parse_group(row.descriptor).order != row.order:
+    group_rows = [FixtureRow(**rec) for rec in parse_table_csv(groups_text)]
+    listed = set()
+    for row in group_rows:
+        # a blank descriptor reads as None, which parse_group rejects as empty
+        group = parse_group(row.descriptor or "")
+        if group.order != row.order:
             raise ValueError(f"fixture row {row.gap_id}: descriptor/order mismatch")
-        group_rows.append(row)
+        if group.descriptor in listed:
+            raise ValueError(f"fixture lists {group.descriptor} twice")
+        listed.add(group.descriptor)
     order_rows = [
         OrderFixtureRow(int(r["order"]), _cell(r["cq"]), _cell(r["mq"]))
         for r in csv.DictReader(io.StringIO(orders_text))
@@ -180,8 +174,7 @@ def parse_table_csv(text: str) -> list[dict]:
             "gap_id": rec["gap_id"] or None,
             "descriptor": rec["descriptor"] or None,
         }
-        for f in _CELL_FIELDS:
-            row[f] = None if rec[f] in ("?", "") else int(rec[f])
+        row.update({f: _cell(rec[f]) for f in _CELL_FIELDS})
         records.append(row)
     return records
 
@@ -214,6 +207,26 @@ _EMITTERS = {"csv": emit_csv, "json": emit_json, "table": emit_text}
 # subcommands
 
 
+class _RunMemo:
+    """The report store under --no-cache: each group is counted once per run
+    and kept in memory only, so nothing is read from or written to disk."""
+
+    hits = 0  # reports read from disk
+
+    def __init__(self):
+        self._reports: dict[str, GroupReport] = {}
+
+    def get(self, descriptor: str) -> GroupReport | None:
+        return self._reports.get(descriptor)
+
+    def put(self, report: GroupReport) -> None:
+        self._reports[report.descriptor] = report
+
+
+def _report_cache(args) -> ReportCache | _RunMemo:
+    return _RunMemo() if args.no_cache else ReportCache(args.cache_dir)
+
+
 def _write_output(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text)
@@ -233,7 +246,7 @@ def _budget_notes(reports: list[GroupReport]) -> list[str]:
 
 
 def cmd_count(args) -> int:
-    cache = None if args.no_cache else ReportCache(args.cache_dir)
+    cache = _report_cache(args)
     gap_ids = gap_id_lookup()
     if args.group:
         group = parse_group(args.group)
@@ -258,7 +271,7 @@ def cmd_count(args) -> int:
 
 
 def cmd_table(args) -> int:
-    cache = None if args.no_cache else ReportCache(args.cache_dir)
+    cache = _report_cache(args)
     gap_ids = gap_id_lookup()
     records = []
     notes = []
@@ -307,66 +320,42 @@ def cmd_verify(args) -> int:
     except (OSError, ValueError, KeyError) as exc:
         print(f"cannot load fixture: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    cache = None if args.no_cache else ReportCache(args.cache_dir)
+    cache = _report_cache(args)
+    # a row may spell its group in any factor order; reports use the canonical one
+    fixture = {parse_group(r.descriptor).descriptor: r for r in group_rows}
+    totals = {r.order: r for r in order_rows}
+    matched = mismatched = skipped_unknown = skipped_budget = 0
 
-    checked = matched = mismatched = skipped_unknown = skipped_budget = 0
-    computed: dict[str, GroupReport] = {}
-
-    def compare(desc: str, cell: str, want, got) -> None:
-        nonlocal checked, matched, mismatched
-        checked += 1
-        if want == got:
+    def compare(desc: str, cell: str, want, got, why: str) -> None:
+        nonlocal matched, mismatched, skipped_unknown, skipped_budget
+        if want is None:
+            skipped_unknown += 1
+        elif got is None:
+            skipped_budget += 1
+            print(f"skip {desc} {cell}: {why}")
+        elif want == got:
             matched += 1
         else:
             mismatched += 1
             print(f"MISMATCH {desc} {cell}: computed {got}, table says {want}")
 
-    for row in group_rows:
-        if row.order > args.max:
-            continue
-        group = parse_group(row.descriptor)
-        known = row.known_cells
-        skipped_unknown += sum(
-            1 for f in _CELL_FIELDS if getattr(row, f) is None
-        )
-        if "aut_order" in known:
-            compare(row.descriptor, "aut_order", known["aut_order"], aut_group_order(group))
-        enum_cells = [f for f in known if f != "aut_order"]
-        if not enum_cells:
-            continue
-        rep = group_report(group, budget=args.aut_budget, jobs=args.jobs, cache=cache)
-        computed[row.descriptor] = rep
-        for f in enum_cells:
-            got = getattr(rep, f)
-            if got is None:
-                skipped_budget += 1
-                print(f"skip {row.descriptor} {f}: over budget")
-            else:
-                compare(row.descriptor, f, known[f], got)
-
-    by_order: dict[int, list[FixtureRow]] = {}
-    for row in group_rows:
-        by_order.setdefault(row.order, []).append(row)
-    for orow in order_rows:
-        if orow.order > args.max:
-            continue
-        rows = by_order.get(orow.order, [])
-        for cell, want in (("cq", orow.cq), ("mq", orow.mq)):
-            if want is None:
-                skipped_unknown += 1
-                continue
-            parts = [computed.get(r.descriptor) for r in rows]
-            if not parts or any(p is None or getattr(p, cell) is None for p in parts):
-                skipped_budget += 1
-                print(f"skip order {orow.order} {cell}: some group unavailable")
-                continue
-            compare(f"order {orow.order}", cell, want, sum(getattr(p, cell) for p in parts))
+    for n in sorted({r.order for r in group_rows} | totals.keys()):
+        if n > args.max:
+            break
+        report = cq_mq_of_order(n, budget=args.aut_budget, jobs=args.jobs, cache=cache)
+        for rep in report.per_group:
+            row = fixture.get(rep.descriptor)  # an unlisted group is all unknown
+            for f in _CELL_FIELDS:
+                compare(rep.descriptor, f, getattr(row, f, None), getattr(rep, f), "over budget")
+        for f in ("cq", "mq"):
+            compare(f"order {n}", f, getattr(totals.get(n), f, None), getattr(report, f),
+                    "some group unavailable")
 
     print(
-        f"verified {checked} cells: {matched} matched, {mismatched} mismatched, "
+        f"verified {matched + mismatched} cells: {matched} matched, {mismatched} mismatched, "
         f"{skipped_unknown} unknown in the table, {skipped_budget} skipped over budget"
     )
-    print(f"{cache.hits if cache else 0} group reports read from the cache")
+    print(f"{cache.hits} group reports read from the cache")
     return EXIT_MISMATCH if mismatched else EXIT_OK
 
 

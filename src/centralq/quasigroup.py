@@ -209,6 +209,8 @@ def is_isomorphic_affine(t1: AffineTriple, t2: AffineTriple,
     g = t1.group
     if aut is None:
         aut = aut_group(g)
+    elif aut.group != g:
+        raise ValueError("aut is the automorphism group of another carrier")
     u_image = one_minus(t1.phi, t1.psi).image()
     c1 = g.index_of(t1.c)
     c2 = g.index_of(t2.c)

@@ -275,6 +275,32 @@ def test_table_json_includes_order_27(capsys):
     assert c27row and c27row[0]["cq"] == 34321
 
 
+_DATA = Path(__file__).resolve().parents[1] / "src" / "centralq" / "data"
+
+
+def edited_fixture(tmp_path, edit) -> str:
+    """A fixture directory: the shipped order totals and the shipped group
+    rows passed through edit, a function from CSV rows to CSV rows."""
+    fixdir = tmp_path / "fixture"
+    fixdir.mkdir()
+    rows = list(csv.reader(io.StringIO((_DATA / "reference_groups.csv").read_text())))
+    out_text = io.StringIO()
+    csv.writer(out_text).writerows(edit(rows))
+    (fixdir / "reference_groups.csv").write_text(out_text.getvalue())
+    shutil.copy(_DATA / "reference_orders.csv", fixdir / "reference_orders.csv")
+    return str(fixdir)
+
+
+def set_cell(desc: str, col: int, value: str):
+    def edit(rows):
+        for row in rows:
+            if row[2] == desc:
+                row[col] = value
+        return rows
+
+    return edit
+
+
 def test_verify_small_range(capsys, tmp_path):
     code, out, _ = run(
         capsys, "verify", "--max", "16", "--no-cache",
@@ -302,22 +328,8 @@ def test_verify_max_one(capsys):
 
 
 def test_verify_detects_mismatch(capsys, tmp_path):
-    fixdir = tmp_path / "fixture"
-    fixdir.mkdir()
-    src = Path(__file__).resolve().parents[1] / "src" / "centralq" / "data"
-    text = (src / "reference_groups.csv").read_text()
-    rows = list(csv.reader(io.StringIO(text)))
-    for row in rows:
-        if row[2] == "C3":
-            row[6] = "6"  # cq is really 5
-    out_text = io.StringIO()
-    csv.writer(out_text).writerows(rows)
-    (fixdir / "reference_groups.csv").write_text(out_text.getvalue())
-    shutil.copy(src / "reference_orders.csv", fixdir / "reference_orders.csv")
-
-    code, out, _ = run(
-        capsys, "verify", "--max", "4", "--fixture", str(fixdir), "--no-cache"
-    )
+    fixdir = edited_fixture(tmp_path, set_cell("C3", 6, "6"))  # cq is really 5
+    code, out, _ = run(capsys, "verify", "--max", "4", "--fixture", fixdir, "--no-cache")
     assert code == EXIT_MISMATCH
     assert "MISMATCH C3 cq" in out
 
@@ -327,25 +339,86 @@ def test_verify_missing_fixture(capsys, tmp_path):
     assert code == EXIT_USAGE
 
 
-def test_verify_skips_unknown_cells(capsys, tmp_path):
-    fixdir = tmp_path / "fixture"
-    fixdir.mkdir()
-    src = Path(__file__).resolve().parents[1] / "src" / "centralq" / "data"
-    text = (src / "reference_groups.csv").read_text()
-    rows = list(csv.reader(io.StringIO(text)))
-    for row in rows:
-        if row[2] == "C3":
-            row[6] = "?"  # pretend cq of C3 were never established
-    out_text = io.StringIO()
-    csv.writer(out_text).writerows(rows)
-    (fixdir / "reference_groups.csv").write_text(out_text.getvalue())
-    shutil.copy(src / "reference_orders.csv", fixdir / "reference_orders.csv")
+@pytest.mark.parametrize(
+    "edit,error",
+    [
+        (set_cell("C3", 2, ""), "empty group descriptor"),
+        # each row is compared under its group's canonical descriptor
+        (lambda rows: rows + [["8", "", "C2xC4"] + ["?"] * 6], "fixture lists C4xC2 twice"),
+    ],
+    ids=["blank", "twice"],
+)
+def test_verify_malformed_fixture_rows(capsys, tmp_path, edit, error):
+    fixdir = edited_fixture(tmp_path, edit)
+    code, out, err = run(capsys, "verify", "--max", "8", "--fixture", fixdir, "--no-cache")
+    assert code == EXIT_USAGE and out == ""
+    assert err == f"cannot load fixture: {error}\n"
 
-    code, out, _ = run(
-        capsys, "verify", "--max", "3", "--fixture", str(fixdir), "--no-cache"
-    )
+
+def test_verify_skips_unknown_cells(capsys, tmp_path):
+    # pretend cq of C3 were never established
+    fixdir = edited_fixture(tmp_path, set_cell("C3", 6, "?"))
+    code, out, _ = run(capsys, "verify", "--max", "3", "--fixture", fixdir, "--no-cache")
     assert code == EXIT_OK
     assert "1 unknown in the table" in out
+
+
+VERIFY_32_AT_BUDGET_50000 = """\
+skip C2xC2xC2xC2xC2 conj_classes: over budget
+skip C2xC2xC2xC2xC2 pair_orbits: over budget
+skip C2xC2xC2xC2xC2 cq: over budget
+skip C2xC2xC2xC2xC2 commuting_pair_orbits: over budget
+skip C2xC2xC2xC2xC2 mq: over budget
+skip order 32 cq: some group unavailable
+skip order 32 mq: some group unavailable
+verified 387 cells: 387 matched, 0 mismatched, 0 unknown in the table, 7 skipped over budget
+0 group reports read from the cache
+"""
+
+
+def test_verify_stdout_through_order_32(capsys):
+    # the C2^5 row is refused at this budget; its aut_order is still checked
+    code, out, _ = run(capsys, "verify", "--max", "32", "--no-cache", "--aut-budget", "50000")
+    assert code == EXIT_OK
+    assert out == VERIFY_32_AT_BUDGET_50000
+
+
+def test_verify_reads_any_factor_order(capsys, tmp_path):
+    fixdir = edited_fixture(tmp_path, set_cell("C4xC2", 2, "C2xC4"))
+    shipped = run(capsys, "verify", "--max", "8", "--no-cache")
+    spelled = run(capsys, "verify", "--max", "8", "--fixture", fixdir, "--no-cache")
+    assert spelled == shipped
+    assert shipped[0] == EXIT_OK and "82 matched" in shipped[1]
+
+
+def test_verify_unlisted_group_is_unknown(capsys, tmp_path):
+    # C3's six cells read as unknown; the order-3 totals are still compared
+    fixdir = edited_fixture(tmp_path, lambda rows: [r for r in rows if r[2] != "C3"])
+    code, out, _ = run(capsys, "verify", "--max", "3", "--fixture", fixdir, "--no-cache")
+    assert code == EXIT_OK
+    assert out.splitlines()[0] == (
+        "verified 18 cells: 18 matched, 0 mismatched, 6 unknown in the table, "
+        "0 skipped over budget"
+    )
+
+
+def test_no_cache_counts_each_group_once_per_run(capsys, monkeypatch):
+    from collections import Counter
+
+    from centralq import counting
+
+    calls = Counter()
+    enumerate_group = counting.enumerate_group
+
+    def counted(group, **kw):
+        calls[group.descriptor] += 1
+        return enumerate_group(group, **kw)
+
+    monkeypatch.setattr(counting, "enumerate_group", counted)
+    code, _, _ = run(capsys, "table", "--max", "12", "--no-cache")
+    assert code == EXIT_OK
+    # C2xC2 is a component of orders 4 and 12
+    assert calls["C2xC2"] == 1 and set(calls.values()) == {1}
 
 
 def test_budget_env_var(capsys, monkeypatch):
@@ -390,21 +463,16 @@ def test_fixture_loads_and_is_consistent():
 def test_verify_class_count_only_row(capsys, tmp_path, conj_classes, budget, code, line):
     # a row whose only enumerated cell is the class count still gets a full
     # group report
-    fixdir = tmp_path / "fixture"
-    fixdir.mkdir()
-    src = Path(__file__).resolve().parents[1] / "src" / "centralq" / "data"
-    rows = list(csv.reader(io.StringIO((src / "reference_groups.csv").read_text())))
-    for row in rows:
-        if row[2] == "C2xC2xC2":
-            row[4] = conj_classes
-            row[5:] = ["?"] * len(row[5:])
-    out_text = io.StringIO()
-    csv.writer(out_text).writerows(rows)
-    (fixdir / "reference_groups.csv").write_text(out_text.getvalue())
-    shutil.copy(src / "reference_orders.csv", fixdir / "reference_orders.csv")
+    def edit(rows):
+        for row in rows:
+            if row[2] == "C2xC2xC2":
+                row[4] = conj_classes
+                row[5:] = ["?"] * len(row[5:])
+        return rows
 
+    fixdir = edited_fixture(tmp_path, edit)
     got, out, _ = run(
-        capsys, "verify", "--max", "8", "--fixture", str(fixdir), "--no-cache",
+        capsys, "verify", "--max", "8", "--fixture", fixdir, "--no-cache",
         "--aut-budget", budget,
     )
     assert got == code

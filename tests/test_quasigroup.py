@@ -127,6 +127,18 @@ def test_is_isomorphic_affine_rejects_mixed_carriers():
         )
 
 
+def test_is_isomorphic_affine_rejects_aut_of_another_carrier():
+    # 7x + y + 4 and 3x + y + 5 over C8 are not isomorphic; Aut(C2^3) permutes
+    # the same 8 element indices and would wrongly report that they are
+    c8 = cyclic_group(8)
+    t1 = AffineTriple(c8, scalar_endo(c8, 7), identity(c8), (4,))
+    t2 = AffineTriple(c8, scalar_endo(c8, 3), identity(c8), (5,))
+    assert not is_isomorphic_affine(t1, t2, aut_group(c8))
+    assert not brute_force_isomorphic(build_quasigroup(t1), build_quasigroup(t2))
+    with pytest.raises(ValueError, match="another carrier"):
+        is_isomorphic_affine(t1, t2, aut_group(parse_group("C2^3")))
+
+
 def test_brute_force_identical_and_relabeled():
     t = addition_table(parse_group("C2xC3"))
     assert brute_force_isomorphic(t, t)
