@@ -49,10 +49,12 @@ the values on the rank canonical generators, read from the members'
 generator columns.  A per-group SubgroupRegistry, built with the
 context, is the only place subgroups are identified: it numbers the
 subgroups met so far, keeps each one's cosets (found once per subgroup),
-and fills a join table join[s, x] = id of S + <x> on demand.  Every
-image subgroup is a span of rank values from the trivial subgroup (or
-from Im(h - 1) in count_class), the class loop reads cosets by registry
-id, and no step builds a member x element array.
+and fills a join table join[s, x] = id of S + <x> on demand.  A subgroup
+is named only by a span: every image subgroup is a span of rank values
+from the trivial subgroup (or from Im(h - 1) in count_class), and so is
+its image h(S) under a member h, which process_class checks against the
+member permutation.  The class loop reads cosets by registry id, and no
+step builds a member x element array.
 """
 
 from __future__ import annotations
@@ -238,9 +240,9 @@ class SubgroupRegistry:
     of its coset (cosets ordered by their smallest element, so the
     subgroup itself is coset 0 and its members are `cidx == 0`), the coset
     count, and the ascending coset representatives, padded to n.
-    `join[s, x]` is the id of S + <x>, or -1 until filled.  `ids_of` maps
-    element masks back to ids; its packed mask bytes are the registry's
-    private key.
+    `join[s, x]` is the id of S + <x>, or -1 until filled.  Subgroups are
+    named only by spans (`join`, `span`); the packed element mask that
+    keeps a subgroup from being registered twice is private.
     """
 
     def __init__(self, group: AbelianGroup):
@@ -252,8 +254,7 @@ class SubgroupRegistry:
         self._counts = np.zeros(0, dtype=np.int64)
         self._reps = np.zeros((0, self.n), dtype=group.index_dtype)
         self._join = np.zeros((0, self.n), dtype=np.int32)
-        trivial = np.arange(self.n) == 0
-        self._register(trivial, self._keys(trivial[None])[0])
+        self._register(np.arange(self.n) == 0)
 
     def __len__(self):
         return len(self._ids)
@@ -278,15 +279,8 @@ class SubgroupRegistry:
     def join_table(self) -> np.ndarray:
         return self._join[: len(self)]
 
-    @staticmethod
-    def _keys(masks: np.ndarray) -> list[bytes]:
-        return [k.tobytes() for k in np.packbits(masks, axis=1)]
-
-    def ids_of(self, masks: np.ndarray) -> np.ndarray:
-        """Ids of the subgroups with these (rows, n) element masks; -1 where unknown."""
-        return np.asarray([self._ids.get(k, -1) for k in self._keys(masks)], dtype=np.int64)
-
-    def _register(self, mask: np.ndarray, key: bytes) -> int:
+    def _register(self, mask: np.ndarray) -> int:
+        key = np.packbits(mask).tobytes()
         sid = self._ids.get(key)
         if sid is not None:
             return sid
@@ -336,7 +330,7 @@ class SubgroupRegistry:
                 break
             masks = grown
             y = self.add[y, y]
-        ids = [self._register(m, k) for m, k in zip(masks, self._keys(masks))]
+        ids = [self._register(m) for m in masks]
         self._join[sids, xs] = ids
 
 
@@ -356,9 +350,6 @@ class EngineContext:
         self._position_map: np.ndarray | None = None
 
     # -- member-space primitives -------------------------------------------
-
-    def inverse_table(self, h: int) -> np.ndarray:
-        return _inverse_perm(self.aut.member_table(h))
 
     def conj_perm(self, h: int) -> np.ndarray:
         """Member permutation m -> h m h^-1, found from generator images alone."""
@@ -507,39 +498,26 @@ class ClassResult:
         return self.cq * order, self.mq * order
 
 
-def _coset_data(ctx: EngineContext, f: int) -> np.ndarray:
-    """Registry id of the image subgroup of x - f(x) - m(x), for every member m.
+def _spanning_values(ctx: EngineContext, f: int, ms) -> np.ndarray:
+    """(rows, rank) values g - f(g) - m(g) on the canonical generators g, per member m of ms.
 
-    The map is a homomorphism, so its image is spanned by its values on
-    the rank canonical generators, t[m] = (g - f(g) - m(g) for each g).
-    Every member's image is the registry's span of those columns from the
-    trivial subgroup: rank gathers over the members and no member x
-    element array.  The cosets of each subgroup are read from the
-    registry by id.
+    x - f(x) - m(x) is a homomorphism, so these rank values span its image.
     """
     reg = ctx.subgroups
     d1 = reg.sub[ctx.gen_pos, ctx.images[f]]  # g - f(g) per canonical generator g
-    t = reg.sub[d1, ctx.images]  # (N, rank): g - f(g) - m(g)
-    return reg.span(np.zeros(ctx.N, dtype=np.int32), t.T)
+    return reg.sub[d1, ctx.images[ms]]
 
 
-def _transport_table(ctx: EngineContext, family: np.ndarray, h: int) -> np.ndarray:
-    """Registry id -> id of its image under member h, over the class's family.
+def _coset_data(ctx: EngineContext, f: int) -> np.ndarray:
+    """Registry id of the image subgroup of x - f(x) - m(x), for every member m.
 
-    family is the sorted registry ids of the class's image subgroups; other
-    ids map to -1.
+    Every member's image is the registry's span of its spanning values
+    from the trivial subgroup: rank gathers over the members and no
+    member x element array.  The cosets of each subgroup are read from
+    the registry by id.
     """
-    reg = ctx.subgroups
-    # x lies in h(S) exactly when h^-1(x) lies in S, i.e. in coset 0
-    images = reg.ids_of(reg.cidx[family][:, ctx.inverse_table(h)] == 0)
-    if not np.isin(images, family).all():
-        raise RuntimeError(
-            "internal invariant violated: image subgroup escaped the family "
-            "(the induced coset action would be ill-defined)"
-        )
-    out = np.full(len(reg), -1, dtype=np.int32)
-    out[family] = images
-    return out
+    t = _spanning_values(ctx, f, slice(None))  # (N, rank)
+    return ctx.subgroups.span(np.zeros(ctx.N, dtype=np.int32), t.T)
 
 
 def _centralizer(ctx: EngineContext, f: int) -> tuple[np.ndarray, np.ndarray | None, list[int]]:
@@ -590,16 +568,18 @@ def process_class(ctx: EngineContext, f: int) -> ClassResult:
     j_of_point = np.arange(total, dtype=np.int64) - base[m_of_point]
     r_of_point = reg.reps[s[m_of_point], j_of_point]
     del j_of_point
-    present = np.zeros(len(reg), dtype=bool)
-    present[s] = True
-    family = np.flatnonzero(present)
+    # h(S) for each image subgroup S: the span of h's values at the spanning
+    # values of one member that carries S.  A member h m h^-1 has image h(S),
+    # so s[mp] must read the same id; an h(S) that no member carries fails too.
+    family, carriers, of_member = np.unique(s, return_index=True, return_inverse=True)
+    spanning = _spanning_values(ctx, f, carriers)
 
     pperms = []
     for h, mp in zip(cgens, mperms):
         htab = ctx.aut.tables[h]
-        transport = _transport_table(ctx, family, h)
+        moved = reg.span(np.zeros(len(family), dtype=np.int32), htab[spanning].T)
         s2 = s[mp]
-        if not np.array_equal(s2, transport[s]):
+        if not np.array_equal(s2, moved[of_member]):
             raise RuntimeError(
                 "internal invariant violated: conjugation moved an image subgroup "
                 "inconsistently with the member permutation"
@@ -853,6 +833,13 @@ _WORKER_CTX: EngineContext | None = None
 _WORKER_COLLECT = False
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _run_class(f: int) -> ClassResult | ClassTerms:
     if _WORKER_COLLECT:
         return process_class(_WORKER_CTX, f)
@@ -888,12 +875,16 @@ def enumerate_counts(
     # the per-class routes read the action tables: built here, before a pool
     # forks, the workers share the parent's one copy
     tables_mb = aut.tables.nbytes / 1e6
+    # a fork pool starts all its workers at once: at most one per class and CPU
+    workers = max(1, min(jobs, len(class_reps), _usable_cpus())) if hasattr(os, "fork") else 1
     log.info(
-        "%s: |Aut|=%d, %d conjugacy classes, %.0f MB of tables",
+        "%s: |Aut|=%d, %d conjugacy classes, %.0f MB of tables, %d worker%s",
         group.descriptor,
         ctx.N,
         len(class_reps),
         tables_mb,
+        workers,
+        "" if workers == 1 else "s",
     )
 
     global _WORKER_CTX, _WORKER_COLLECT
@@ -904,9 +895,7 @@ def enumerate_counts(
     try:
         with contextlib.ExitStack() as stack:
             mapped = map(_run_class, class_reps)
-            # a fork pool starts all its workers at once: at most one per class and core
-            workers = min(jobs, len(class_reps), os.cpu_count() or 1)
-            if workers > 1 and hasattr(os, "fork"):
+            if workers > 1:
                 mp = multiprocessing.get_context("fork")
                 ex = stack.enter_context(ProcessPoolExecutor(max_workers=workers, mp_context=mp))
                 mapped = ex.map(_run_class, class_reps, chunksize=1)

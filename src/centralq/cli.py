@@ -115,6 +115,11 @@ def load_fixture(path: str | Path | None = None):
         OrderFixtureRow(int(r["order"]), _cell(r["cq"]), _cell(r["mq"]))
         for r in csv.DictReader(io.StringIO(orders_text))
     ]
+    seen = set()
+    for row in order_rows:
+        if row.order in seen:
+            raise ValueError(f"fixture lists order {row.order} twice")
+        seen.add(row.order)
     return group_rows, order_rows
 
 

@@ -311,23 +311,29 @@ _TABLE_ENTRIES = 1 << 19
 _MAX_DRAWS = 64
 
 
+def _table_of_images(gp: AbelianGroup, images) -> np.ndarray:
+    """Table of the endomorphism with these legal generator images (element indices).
+
+    Row i of its matrix is image i's coordinates, so the table is the
+    coordinate product of Endomorphism.table, over all primes at once:
+    legal images are zero across primes.
+    """
+    coords = gp.coords_array
+    return gp.pack_coords(coords @ coords[images]).astype(gp.index_dtype)
+
+
 def _random_automorphism(
     gp: AbelianGroup, rng: random.Random, legal: list[np.ndarray]
 ) -> np.ndarray:
     """Table of a uniformly random automorphism.
 
     legal[i] holds generator i's legal images; one is drawn for each
-    generator until the matrix they give is a bijection.  Row i of the
-    matrix is image i's coordinates, so the table is the coordinate
-    product of Endomorphism.table, over all primes at once: the legal
-    images are zero across primes.
+    generator until the matrix they give is a bijection.
     """
-    coords = gp.coords_array
     while True:
-        picks = [int(v[rng.randrange(len(v))]) for v in legal]
-        t = gp.pack_coords(coords @ coords[picks])
+        t = _table_of_images(gp, [int(v[rng.randrange(len(v))]) for v in legal])
         if np.bincount(t, minlength=gp.order).all():
-            return t.astype(gp.index_dtype)
+            return t
 
 
 def _images_by_closure(gp: AbelianGroup, expected: int) -> tuple[np.ndarray, np.ndarray]:
@@ -499,12 +505,7 @@ class AutGroup:
 
     def member_table(self, i: int) -> np.ndarray:
         """Action table of member i, evaluated from its images."""
-        g = self.group
-        plus, mul = self._arithmetic
-        out = np.zeros(g.order, dtype=g.index_dtype)
-        for j, v in enumerate(self.images[int(i)]):
-            out = plus(out, mul[g.coords_array[:, j], v])
-        return out
+        return _table_of_images(self.group, self.images[int(i)])
 
     def evaluate(self, ys, lo: int, hi: int) -> np.ndarray:
         """(len(ys), hi - lo) array of m(y) for each element y and member m in [lo, hi).

@@ -148,9 +148,9 @@ def test_broken_worker_pool_exit_code(capsys, monkeypatch):
 
     from centralq import _engine
 
-    # two cores, so the pool runs; forked workers inherit the patch and die
+    # two CPUs, so the pool runs; forked workers inherit the patch and die
     # as if killed for memory
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(_engine, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(_engine, "count_class", lambda *args: os._exit(9))
     code, _, err = run(capsys, "count", "--group", "C2xC2", "--jobs", "2", "--no-cache")
     assert code == EXIT_RESOURCE
@@ -278,16 +278,21 @@ def test_table_json_includes_order_27(capsys):
 _DATA = Path(__file__).resolve().parents[1] / "src" / "centralq" / "data"
 
 
-def edited_fixture(tmp_path, edit) -> str:
-    """A fixture directory: the shipped order totals and the shipped group
-    rows passed through edit, a function from CSV rows to CSV rows."""
+def _keep(rows):
+    return rows
+
+
+def edited_fixture(tmp_path, edit, edit_orders=_keep) -> str:
+    """A fixture directory: the shipped group rows passed through edit and
+    the shipped order totals through edit_orders, functions from CSV rows
+    to CSV rows."""
     fixdir = tmp_path / "fixture"
     fixdir.mkdir()
-    rows = list(csv.reader(io.StringIO((_DATA / "reference_groups.csv").read_text())))
-    out_text = io.StringIO()
-    csv.writer(out_text).writerows(edit(rows))
-    (fixdir / "reference_groups.csv").write_text(out_text.getvalue())
-    shutil.copy(_DATA / "reference_orders.csv", fixdir / "reference_orders.csv")
+    for name, fn in [("reference_groups.csv", edit), ("reference_orders.csv", edit_orders)]:
+        rows = list(csv.reader(io.StringIO((_DATA / name).read_text())))
+        out_text = io.StringIO()
+        csv.writer(out_text).writerows(fn(rows))
+        (fixdir / name).write_text(out_text.getvalue())
     return str(fixdir)
 
 
@@ -339,17 +344,28 @@ def test_verify_missing_fixture(capsys, tmp_path):
     assert code == EXIT_USAGE
 
 
+def _order_8_twice(rows):
+    # a second order-8 row before the real one, which would otherwise win
+    at = next(i for i, row in enumerate(rows) if row[0] == "8")
+    return rows[:at] + [["8", "386", "73"]] + rows[at:]
+
+
 @pytest.mark.parametrize(
-    "edit,error",
+    "edit,edit_orders,error",
     [
-        (set_cell("C3", 2, ""), "empty group descriptor"),
+        (set_cell("C3", 2, ""), _keep, "empty group descriptor"),
         # each row is compared under its group's canonical descriptor
-        (lambda rows: rows + [["8", "", "C2xC4"] + ["?"] * 6], "fixture lists C4xC2 twice"),
+        (
+            lambda rows: rows + [["8", "", "C2xC4"] + ["?"] * 6],
+            _keep,
+            "fixture lists C4xC2 twice",
+        ),
+        (_keep, _order_8_twice, "fixture lists order 8 twice"),
     ],
-    ids=["blank", "twice"],
+    ids=["blank", "twice", "order-twice"],
 )
-def test_verify_malformed_fixture_rows(capsys, tmp_path, edit, error):
-    fixdir = edited_fixture(tmp_path, edit)
+def test_verify_malformed_fixture_rows(capsys, tmp_path, edit, edit_orders, error):
+    fixdir = edited_fixture(tmp_path, edit, edit_orders)
     code, out, err = run(capsys, "verify", "--max", "8", "--fixture", fixdir, "--no-cache")
     assert code == EXIT_USAGE and out == ""
     assert err == f"cannot load fixture: {error}\n"

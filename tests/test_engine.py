@@ -13,6 +13,7 @@ from centralq._engine import (
     EngineContext,
     SubgroupRegistry,
     _coset_data,
+    _inverse_perm,
     _orbit_min_labels,
     _sweep_labels,
     count_class,
@@ -82,19 +83,13 @@ def test_filled_joins_are_generated_subgroups(desc):
 
 
 @pytest.mark.parametrize("desc", ["C2^3", "C4xC2xC3", "C4xC4xC2"])
-def test_registry_maps_masks_to_ids(desc):
+def test_registry_registers_each_subgroup_once(desc):
     ctx, fs, _ = _cases(desc)
     for f in fs:
         _coset_data(ctx, f)
-    g, reg = ctx.group, ctx.subgroups
+    reg = ctx.subgroups
     assert len(reg) > 1
-    assert reg.ids_of(reg.masks).tolist() == list(range(len(reg)))
-    # not subgroups: no identity, and two generators without their sum
-    no_zero = np.ones((1, g.order), dtype=bool)
-    no_zero[0, 0] = False
-    unclosed = np.zeros((1, g.order), dtype=bool)
-    unclosed[0, [0, g._strides[0], g._strides[1]]] = True
-    assert reg.ids_of(np.concatenate([no_zero, unclosed])).tolist() == [-1, -1]
+    assert len(np.unique(reg.cidx, axis=0)) == len(reg)
 
 
 def _central_case():
@@ -104,21 +99,36 @@ def _central_case():
     return EngineContext(g, A), A.index_of(scalar_endo(g, 2))
 
 
+def _act_by(monkeypatch, ctx, f, table):
+    """Make every member act on G by table where process_class reads the action.
+
+    C(f) is scanned first with the real tables: scanned with the faulty
+    ones it would shrink to {1}, and there would be nothing to check.
+    """
+    ctx.centralizer_members(f)
+    fake = np.broadcast_to(table.astype(ctx.group.index_dtype), (ctx.N, ctx.group.order))
+    monkeypatch.setitem(vars(ctx.aut), "tables", fake)
+
+
 def test_transport_rejects_an_image_outside_the_family(monkeypatch):
-    ctx, f = _central_case()
-    assert 0 in _coset_data(ctx, f)
-    # swapping elements 0 and 1 sends the trivial subgroup to {1}
-    swap = np.arange(ctx.group.order)
+    # with f = 1 every member's image is Im(-m) = G, so the family is {G}
+    g = parse_group("C2xC2")
+    A = aut_group(g)
+    ctx, f = EngineContext(g, A), A.identity_index
+    family = _coset_data(ctx, f)
+    assert (ctx.subgroups.counts[family] == 1).all()
+    # swapping elements 0 and 1 sends G's spanning values to a proper
+    # subgroup, which no member carries
+    swap = np.arange(g.order)
     swap[[0, 1]] = [1, 0]
-    monkeypatch.setattr(EngineContext, "inverse_table", lambda self, h: swap)
-    with pytest.raises(RuntimeError, match="escaped the family"):
+    _act_by(monkeypatch, ctx, f, swap)
+    with pytest.raises(RuntimeError, match="moved an image subgroup inconsistently"):
         process_class(ctx, f)
 
 
 def test_transport_must_follow_the_member_permutation(monkeypatch):
     ctx, f = _central_case()
-    same = np.arange(ctx.group.order)
-    monkeypatch.setattr(EngineContext, "inverse_table", lambda self, h: same)
+    _act_by(monkeypatch, ctx, f, np.arange(ctx.group.order))
     with pytest.raises(RuntimeError, match="moved an image subgroup inconsistently"):
         process_class(ctx, f)
 
@@ -387,7 +397,7 @@ def test_classification_is_unchanged():
 
 
 def test_classification_through_the_pool_is_unchanged(monkeypatch):
-    monkeypatch.setattr(_engine.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(_engine, "_usable_cpus", lambda: 2)
     digest = hashlib.md5(repr(_triples("C3xC3", jobs=2)).encode()).hexdigest()
     assert digest == "95236a84fc82367b2508f56fe7f34300"
 
@@ -434,17 +444,25 @@ class _RecordingPool:
         (100_000, 2, 2),  # capped by the cores
         (100_000, 64, 8),  # capped by the 8 classes
         (3, 64, 3),
-        (2, None, None),  # unknown core count: one process, no pool
+        # 64 cores, but the affinity mask allows one: no pool
+        pytest.param(8, (64, 1), None, id="8-64-affinity1-None"),
+        (2, None, None),  # no affinity mask, unknown core count: one process, no pool
         (1, 64, None),
     ],
 )
 def test_pool_size_is_capped(monkeypatch, jobs, cores, workers):
+    # cores is the core count, or (core count, CPUs in the affinity mask)
+    count, affinity = cores if isinstance(cores, tuple) else (cores, cores)
     g = parse_group("C3xC3")
     A = aut_group(g)
     serial = _fields(enumerate_counts(g, A))
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     monkeypatch.setattr(_engine, "ProcessPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(_engine.os, "cpu_count", lambda: cores)
+    monkeypatch.setattr(_engine.os, "cpu_count", lambda: count)
+    if affinity is None:
+        monkeypatch.delattr(_engine.os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(_engine.os, "sched_getaffinity", lambda pid: set(range(affinity)))
     assert _fields(enumerate_counts(g, A, jobs=jobs)) == serial
     assert _RecordingPool.sizes == ([] if workers is None else [workers])
 
@@ -485,13 +503,12 @@ def test_aut_wide_stages_never_build_the_tables(monkeypatch):
     ctx = EngineContext(A.group, A)
     assert len(ctx.agens) > 0
     assert sorted(ctx.conj_perm(reps[-1]).tolist()) == list(range(len(A)))
-    assert A.member(reps[-1]).table.tolist() == ctx.inverse_table(reps[-1]).argsort().tolist()
+    inverse = _inverse_perm(A.member_table(reps[-1]))
+    assert A.member(reps[-1]).table.tolist() == inverse.argsort().tolist()
     assert "tables" not in vars(A)
 
 
 def test_enumerate_counts_builds_the_tables_before_forking(monkeypatch):
-    import os
-
     g = parse_group("C3xC3")
     A = aut_group(g)
     built_at_fork = []
@@ -501,7 +518,7 @@ def test_enumerate_counts_builds_the_tables_before_forking(monkeypatch):
             built_at_fork.append("tables" in vars(A))
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(_engine, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(_engine, "ProcessPoolExecutor", Pool)
     enumerate_counts(g, A, jobs=2)
     # the workers inherit the parent's one copy instead of each building its own
