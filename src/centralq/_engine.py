@@ -24,7 +24,9 @@ by a candidate is a permutation of local positions, and the subgroup
 generated so far grows by doubling along the new one and a breadth-first
 sweep of all of them), its classes by conjugation restricted to those
 positions, and C(f) ∩ C(h) for a run of terms f by one array pass over
-C(h), the same commuting test (_commuting) that scans Aut(G) for C(f).
+the cosets of C(h)'s centre Z.  Z lies in every C(f) ∩ C(h), which is
+therefore a union of cosets of Z, so the commuting test (_commuting) that
+scans Aut(G) for C(f) runs on one member per coset (_centre_cosets).
 Member indices become local positions through one N-entry map per
 context, read back against the list.  Aut(G) itself needs no search:
 agens is the generating set its closure grew from (AutGroup.gens).
@@ -91,6 +93,16 @@ _PRODUCT_ROWS = 1 << 16
 _LABEL_WINDOW = 1 << 8
 
 
+def _take2(table: np.ndarray, rows, cols) -> np.ndarray:
+    """table[rows, cols] for a C-contiguous 2-D table, as one flat take.
+
+    rows and cols broadcast against each other as in fancy indexing.  On
+    10^4 to 10^6 uint8 or int32 index pairs the take is 1.7-2.8x faster
+    than table[rows, cols] (Xeon, numpy 2.4), and about even on 100.
+    """
+    return table.ravel().take(np.multiply(rows, table.shape[1], dtype=np.intp) + cols)
+
+
 def _inverse_perm(p: np.ndarray) -> np.ndarray:
     inv = np.empty_like(p)
     inv[p] = np.arange(len(p), dtype=p.dtype)
@@ -122,7 +134,8 @@ def _orbit_min_labels(gens: list[np.ndarray], count: int) -> np.ndarray:
     one round per point (200 000 rounds for 200 000 points, against 10
     with the inverses), so the inverses stay.  Its callers are actions
     with many small orbits: a centralizer's classes (_local_class_labels),
-    C(h)'s orbits on G (count_class) and the pair space (process_class).
+    the cosets of its centre (_centre_cosets), C(h)'s orbits on G
+    (count_class) and the pair space (process_class).
     Aut(G)'s classes are swept instead (conjugacy_class_labels).
     """
     dtype = np.int32 if count <= np.iinfo(np.int32).max else np.int64
@@ -221,8 +234,9 @@ def _member_products(
     those from the images too cost the fixture sweep about 11 % of its
     wall time.  Each product is looked up by its generator images.
     """
-    gtab = ctx.aut.member_table(g)
-    right = (_inverse_perm(gtab) if conjugate else gtab)[ctx.gen_pos]
+    # m g's images are m's values at g's images; only a conjugation needs g's table
+    gtab = ctx.aut.member_table(g) if conjugate else None
+    right = _inverse_perm(gtab)[ctx.gen_pos] if conjugate else ctx.images[g]
     out = np.empty(ctx.N if cols is None else cols.shape[1], dtype=np.int64)
     for lo in range(0, len(out), _PRODUCT_ROWS):
         hi = min(lo + _PRODUCT_ROWS, len(out))
@@ -248,7 +262,8 @@ class SubgroupRegistry:
     def __init__(self, group: AbelianGroup):
         self.n = group.order
         self.add = np.asarray(group.add_table)
-        self.sub = np.asarray(group.sub_table)
+        # contiguous, so that _take2's ravel is a view: sub_table is a column gather
+        self.sub = np.ascontiguousarray(group.sub_table)
         self._ids: dict[bytes, int] = {}
         self._cidx = np.zeros((0, self.n), dtype=np.int64)
         self._counts = np.zeros(0, dtype=np.int64)
@@ -305,12 +320,12 @@ class SubgroupRegistry:
 
     def join(self, s: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Ids of S + <x> for parallel arrays of subgroup ids and elements."""
-        out = self._join[s, x]
-        missing = out < 0
-        if missing.any():
+        out = _take2(self._join, s, x)
+        if out.min() < 0:
+            missing = out < 0
             pairs = np.unique(s[missing].astype(np.int64) * self.n + x[missing])
             self._fill(pairs // self.n, pairs % self.n)
-            out = self._join[s, x]
+            out = _take2(self._join, s, x)
         return out
 
     def span(self, s: np.ndarray, xs) -> np.ndarray:
@@ -504,8 +519,8 @@ def _spanning_values(ctx: EngineContext, f: int, ms) -> np.ndarray:
     x - f(x) - m(x) is a homomorphism, so these rank values span its image.
     """
     reg = ctx.subgroups
-    d1 = reg.sub[ctx.gen_pos, ctx.images[f]]  # g - f(g) per canonical generator g
-    return reg.sub[d1, ctx.images[ms]]
+    d1 = _take2(reg.sub, ctx.gen_pos, ctx.images[f])  # g - f(g) per canonical generator g
+    return _take2(reg.sub, d1, ctx.images[ms])
 
 
 def _coset_data(ctx: EngineContext, f: int) -> np.ndarray:
@@ -566,7 +581,7 @@ def process_class(ctx: EngineContext, f: int) -> ClassResult:
     pt_dtype = np.int32 if total <= np.iinfo(np.int32).max else np.int64
     m_of_point = np.repeat(np.arange(N, dtype=pt_dtype), cnt_m)
     j_of_point = np.arange(total, dtype=np.int64) - base[m_of_point]
-    r_of_point = reg.reps[s[m_of_point], j_of_point]
+    r_of_point = _take2(reg.reps, s[m_of_point], j_of_point)
     del j_of_point
     # h(S) for each image subgroup S: the span of h's values at the spanning
     # values of one member that carries S.  A member h m h^-1 has image h(S),
@@ -586,7 +601,7 @@ def process_class(ctx: EngineContext, f: int) -> ClassResult:
             )
         m2 = mp[m_of_point]
         r2 = htab[r_of_point]
-        j2 = reg.cidx[s2[m_of_point], r2]
+        j2 = _take2(reg.cidx, s2[m_of_point], r2)
         pperms.append((base[m2] + j2).astype(pt_dtype))
         del m2, r2, j2
     del mperms
@@ -684,7 +699,10 @@ def _local_class_labels(
 
 def _term_chunks(rows: np.ndarray, width: int):
     """Runs [a, b) of consecutive terms with at most _MEDIAL_ROWS rows in all
-    and at most _CHUNK_ROWS // width terms; a larger term is a run of its own."""
+    and at most _CHUNK_ROWS // width terms; a larger term is a run of its own.
+
+    width is the member axis of a run's commuting test: 1 for a central h,
+    whose terms read cached centralizers, else the cosets of C(h)'s centre."""
     ends = np.cumsum(rows)
     a = 0
     while a < len(rows):
@@ -695,6 +713,33 @@ def _term_chunks(rows: np.ndarray, width: int):
         a = b
 
 
+def _centre_cosets(
+    ctx: EngineContext, h: int, members: np.ndarray, cols_c: np.ndarray, zpos: np.ndarray
+) -> np.ndarray:
+    """C(h)'s positions by coset of its centre Z: one row per coset, its smallest position first.
+
+    members is a proper C(h) as sorted member indices, cols_c their values
+    and zpos the positions of Z, C(h)'s singleton classes.  Z's generators
+    are found by the local search; right multiplication by each is a
+    permutation of C(h)'s positions (m -> m z, read through position_map),
+    and the cosets mZ are the orbits these generate.
+    """
+    zgens = ctx.find_generators(members[zpos], cols_c[:, zpos], f"centre {h}")
+    pos_map = ctx.position_map(members)  # the search wrote Z's positions into the map
+    perms = [
+        _positions(
+            members, pos_map, _member_products(ctx, cols_c, z), "the centre left the centralizer"
+        ).astype(np.intp)  # the labels gather through them every round
+        for z in zgens
+    ]
+    labels = _orbit_min_labels(perms, len(members))
+    del perms
+    cosets = len(_roots(labels))
+    if cosets * len(zpos) != len(members):
+        raise AssertionError("cosets of the centre do not tile the centralizer")
+    return np.argsort(labels, kind="stable").astype(np.int32).reshape(cosets, len(zpos))
+
+
 def _medial_fixed(
     ctx: EngineContext,
     t_h: int,
@@ -703,6 +748,7 @@ def _medial_fixed(
     d: np.ndarray,
     sizes: np.ndarray,
     cols_c: np.ndarray | None,
+    blocks: np.ndarray | None,
 ) -> np.ndarray:
     """Sum of [G : S + T] over psi in C(f) ∩ C(h), S = Im(1 - f - psi), per term f.
 
@@ -710,25 +756,30 @@ def _medial_fixed(
     ftabs their tables and d the values g - f(g) on the canonical generators.
     sizes are their class sizes in C(h) and t_h the registry id of
     T = Im(h - 1).  For central h, C(f) ∩ C(h) = C(f) comes from the
-    per-process centralizer cache; otherwise cols_c holds C(h)'s values, and
-    one _commuting call tests a run of terms against all of C(h).  Each run's
-    join rows (g - f(g) - psi(g), one row per pair (f, psi)) are spanned
-    from T together, and the coset counts are summed per term.
+    per-process centralizer cache.  Otherwise cols_c holds C(h)'s values and
+    blocks its positions by coset of its centre Z (_centre_cosets).  f lies
+    in C(h), so Z lies in C(f) ∩ C(h), which is a union of cosets of Z: one
+    _commuting call tests a run of terms against the cosets' first members,
+    and every member of a surviving coset is a psi.  Each run's join rows
+    (g - f(g) - psi(g), one row per pair (f, psi)) are spanned from T
+    together, and the coset counts are summed per term.
     """
     reg, gp = ctx.subgroups, ctx.gen_pos
     c_size = ctx.N if cols_c is None else cols_c.shape[1]
     if cols_c is not None:
-        img = cols_c[gp].astype(np.intp)  # (rank, |C(h)|): psi(g)
+        img = cols_c[gp]  # (rank, |C(h)|): psi(g)
+        root_cols = cols_c[:, blocks[:, 0]]
+        root_img = root_cols[gp].astype(np.intp)  # a take casts narrower indices on every call
     out = np.zeros(len(fs), dtype=np.int64)
-    for a, b in _term_chunks(c_size // sizes, 1 if cols_c is None else c_size):
+    for a, b in _term_chunks(c_size // sizes, 1 if cols_c is None else len(blocks)):
         if cols_c is None:
             cents = [ctx.centralizer_members(f) for f in fs[a:b]]
             found = np.asarray([len(c) for c in cents])
             psi = ctx.images[cents[0] if b - a == 1 else np.concatenate(cents)].T
         else:
-            commuting = _commuting(ftabs[a:b], gp, img, cols_c)
-            found = np.count_nonzero(commuting, axis=1)
-            psi = img[:, np.nonzero(commuting)[1]]
+            commuting = _commuting(ftabs[a:b], gp, root_img, root_cols)
+            found = np.count_nonzero(commuting, axis=1) * blocks.shape[1]
+            psi = img[:, blocks[np.nonzero(commuting)[1]].ravel()]
         # |C(f) ∩ C(h)| scanned must match |C(h)| / |class of f|
         if (found * sizes[a:b] != c_size).any():
             raise AssertionError("the scanned centralizer disagrees with the class size")
@@ -740,7 +791,7 @@ def _medial_fixed(
         vals = np.empty(rows, dtype=np.int32)
         for lo in range(0, rows, _CHUNK_ROWS):
             hi = min(lo + _CHUNK_ROWS, rows)
-            joined = (reg.sub[dt[lo:hi, i], psi[i, lo:hi]] for i in range(len(gp)))
+            joined = (_take2(reg.sub, dt[lo:hi, i], psi[i, lo:hi]) for i in range(len(gp)))
             s = reg.span(np.full(hi - lo, t_h, dtype=np.int32), joined)
             vals[lo:hi] = reg.counts[s]  # read after the joins, which may grow the registry
         starts = np.concatenate([[0], np.cumsum(found[:-1])])
@@ -766,10 +817,12 @@ def count_class(ctx: EngineContext, h: int) -> ClassTerms:
     The medial term sums [G : S + T] over psi in C(f) ∩ C(h) through the
     registry's join table, seeded at T (_medial_fixed).  A term whose class
     in C(h) has size 1 has C(f) ∩ C(h) = C(h), so its medial term is its
-    fixed term; that f commutes with C(h)'s generators is checked.  No
+    fixed term; that f commutes with C(h)'s generators is checked.  These
+    terms make up the centre Z of C(h), and the other terms of a proper
+    C(h) are tested for commuting once per coset of Z (_centre_cosets).  No
     pair space is built, and a proper C(h) is handled in its own member
-    list: generator search, class labels and the commuting test never
-    touch the rest of Aut(G).
+    list: generator searches, class labels, centre cosets and the commuting
+    test never touch the rest of Aut(G).
     """
     n = ctx.group.order
     reg = ctx.subgroups
@@ -787,7 +840,7 @@ def count_class(ctx: EngineContext, h: int) -> ClassTerms:
     fs = members[roots]
 
     # T = Im(h - 1), spanned by (h - 1)g over the canonical generators g
-    t_h = int(reg.span(np.zeros(1, dtype=np.int32), reg.sub[ctx.images[h], gp][:, None])[0])
+    t_h = int(reg.span(np.zeros(1, dtype=np.int32), _take2(reg.sub, ctx.images[h], gp)[:, None])[0])
     kernel = int(reg.counts[t_h])  # |ker(h - 1)| = [G : T]
     coset = reg.cidx[t_h]
     gtabs = tab[cgens]
@@ -798,8 +851,8 @@ def count_class(ctx: EngineContext, h: int) -> ClassTerms:
     np.add.at(table, (coset, orbit), 1)
     weight = c_size // orbit_size[orbit]  # |C(h)| / |O_x|
     ftabs = tab[fs]
-    moved = reg.sub[np.arange(n), ftabs]  # (1 - f)x per term and x
-    fix = kernel * (table[coset[moved], orbit] * weight).sum(axis=1)
+    moved = _take2(reg.sub, np.arange(n), ftabs)  # (1 - f)x per term and x
+    fix = kernel * (_take2(table, coset[moved], orbit) * weight).sum(axis=1)
     if (fix % n).any():
         raise AssertionError("a fixed-point numerator is not divisible by n")
     fix //= n
@@ -812,8 +865,10 @@ def count_class(ctx: EngineContext, h: int) -> ClassTerms:
     medial_fixed = fix.copy()
     rest = ~single
     if rest.any():
+        # the singleton classes are C(h)'s centre
+        blocks = None if cols_c is None else _centre_cosets(ctx, h, members, cols_c, roots[single])
         medial_fixed[rest] = _medial_fixed(
-            ctx, t_h, fs[rest], ftabs[rest], moved[:, gp][rest], sizes[rest], cols_c
+            ctx, t_h, fs[rest], ftabs[rest], moved[:, gp][rest], sizes[rest], cols_c, blocks
         )
     return ClassTerms(
         rep=h,

@@ -271,6 +271,28 @@ def reference_mq_restricted(group, budget=None):
     return mq
 
 
+def medial_fixed_full(ctx: EngineContext, h: int, fs: list[int]) -> list[int]:
+    """Sum of [G : Im(1 - f - psi) + Im(h - 1)] over psi in C(f) ∩ C(h), per f of fs.
+
+    count_class's medial terms of the commuting pairs (h, f) without its
+    shortcuts: every member psi of C(h) is tested for f psi == psi f on the
+    canonical generators, and each survivor's image is spanned from
+    T = Im(h - 1) by its own chain of registry joins (one row per psi).
+    """
+    reg, gp = ctx.subgroups, ctx.gen_pos
+    members = ctx.centralizer_members(h)
+    cols, imgs = ctx.aut.tables[members], ctx.aut.images[members]  # per psi: psi(x), psi(g)
+    t = reg.span(np.zeros(1, dtype=np.int32), reg.sub[ctx.aut.images[h], gp][:, None])
+    out = []
+    for f in fs:
+        ftab = ctx.aut.tables[f]
+        psi = imgs[(ftab[imgs] == cols[:, ftab[gp]]).all(axis=1)]
+        values = reg.sub[reg.sub[gp, ftab[gp]], psi]  # g - f(g) - psi(g)
+        s = reg.span(np.full(len(psi), t[0], dtype=np.int32), values.T)
+        out.append(int(reg.counts[s].sum()))
+    return out
+
+
 def pair_orbit_count_bruteforce(A):
     """Orbit count of simultaneous conjugation on A x A by plain sweeps."""
     size = len(A)

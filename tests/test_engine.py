@@ -25,7 +25,12 @@ from centralq.action import centralizer_indices, conjugacy_class_reps
 from centralq.counting import classify_representatives
 from centralq.endo import aut_group, aut_group_order, one_minus, scalar_endo
 
-from reference_engine import closure_generators, fixed_pairs, orbit_reps_conjugation
+from reference_engine import (
+    closure_generators,
+    fixed_pairs,
+    medial_fixed_full,
+    orbit_reps_conjugation,
+)
 
 
 def _cases(desc):
@@ -312,6 +317,64 @@ def test_scanned_centralizer_must_match_a_merged_class(monkeypatch):
     monkeypatch.setattr(_engine, "_local_class_labels", merged)
     with pytest.raises(AssertionError, match="scanned centralizer disagrees"):
         count_class(ctx, h)
+
+
+@pytest.mark.parametrize(
+    "desc, proper", [("C2^3", 5), ("C2^4", 13), ("C3^3", 22), ("C4xC2xC2", 11), ("C4xC4xC2xC2", 98)]
+)
+def test_medial_terms_match_the_full_centralizer_sum(desc, proper):
+    g = parse_group(desc)
+    A = aut_group(g)
+    ctx = EngineContext(g, A)
+    checked = 0
+    for h in conjugacy_class_reps(A).representatives:
+        res = count_class(ctx, h)
+        if res.centralizer_order == len(A):
+            continue
+        assert res.medial_fixed == medial_fixed_full(ctx, h, res.reps), h
+        checked += 1
+    assert checked == proper
+
+
+def test_centre_cosets_must_tile_the_centralizer(monkeypatch):
+    ctx, h = _noncentral_rep("C2^4")
+    real = EngineContext.find_generators
+
+    def identity_only(self, members, cols, seed):
+        # the centre's generators: only the identity, so every coset is one member
+        if seed.startswith("centre"):
+            return [self.aut.identity_index]
+        return real(self, members, cols, seed)
+
+    monkeypatch.setattr(EngineContext, "find_generators", identity_only)
+    with pytest.raises(AssertionError, match="cosets of the centre do not tile"):
+        count_class(ctx, h)
+
+
+def test_medial_commuting_test_runs_once_per_centre_coset(monkeypatch):
+    g = parse_group("C4xC2xC2")
+    A = aut_group(g)
+    ctx = EngineContext(g, A)
+    widths = []
+    real = _engine._commuting
+
+    def spy(ft, gp, img, cols):
+        widths.append(cols.shape[1])
+        return real(ft, gp, img, cols)
+
+    monkeypatch.setattr(_engine, "_commuting", spy)
+    checked = 0
+    for h in conjugacy_class_reps(A).representatives:
+        c_size = len(ctx.centralizer_members(h))
+        widths.clear()
+        res = count_class(ctx, h)
+        centre = res.class_sizes.count(1)
+        if c_size == len(A) or centre == len(res.reps):
+            continue
+        # the first call checks the singleton terms against C(h)'s generators
+        assert widths[1:] and set(widths[1:]) == {c_size // centre}, h
+        checked += 1
+    assert checked > 0
 
 
 def test_local_class_labels_refuse_a_conjugate_outside_the_centralizer(monkeypatch):
