@@ -18,33 +18,35 @@ orbits of commuting pairs (h, f) every term is one pass over G (central)
 plus one subgroup join chain per member of C(f) ∩ C(h) (medial), kept as
 exact numerators over |Aut|.  When f is alone in its class of C(h),
 C(f) ∩ C(h) = C(h) and the medial term is the central one, with no
-joins.  A proper centralizer C(h) is worked in its own sorted member
-list: its generators are found by a local search (right multiplication
-by a candidate is a permutation of local positions, and the subgroup
-generated so far grows by doubling along the new one and a breadth-first
-sweep of all of them), its classes by conjugation restricted to those
-positions, and C(f) ∩ C(h) for a run of terms f by one array pass over
-the cosets of C(h)'s centre Z.  Z lies in every C(f) ∩ C(h), which is
-therefore a union of cosets of Z, so the commuting test (_commuting) that
-scans Aut(G) for C(f) runs on one member per coset (_centre_cosets).
-Member indices become local positions through one N-entry map per
-context, read back against the list.  Aut(G) itself needs no search:
-agens is the generating set its closure grew from (AutGroup.gens).
-conj_perm is the same conjugation over all of Aut(G)'s members, whose
-values it evaluates from the generator images: the Aut-wide stages
-(conjugation, class labels) never build the N x n action tables, which
-the per-class routes read and enumerate_counts builds once, before a
-pool forks.  The tables are element-major, so a centralizer scan reads
-one contiguous row of all members' values per element, and a member
-list's values (its "cols", row x holding m(x) for every member m) are
-one row gather.
+joins.  For a central h, C(f) ∩ C(h) = C(f): enumerate_counts fills
+those terms from f's own classes once every class has run, so each C(f)
+is scanned once, by the process that counts f.  A proper centralizer
+C(h) is worked in its own sorted member list: its generators are found
+by a local search (right multiplication by a candidate is a permutation
+of local positions, and the subgroup generated so far grows by doubling
+along the new one and a breadth-first sweep of all of them), its classes
+by conjugation restricted to those positions, and C(f) ∩ C(h) for a run
+of terms f by one array pass over the cosets of C(h)'s centre Z.  Z lies
+in every C(f) ∩ C(h), which is therefore a union of cosets of Z, so the
+commuting test (_commuting) that scans Aut(G) for C(f) runs on one
+member per coset (_centre_cosets).  Member indices become local
+positions through one N-entry map per context, read back against the
+list.  Aut(G) itself needs no search: agens is the generating set its
+closure grew from (AutGroup.gens).  conj_perm is the same conjugation
+over all of Aut(G)'s members, whose values it evaluates from the
+generator images: the Aut-wide stages (conjugation, class labels) never
+build the N x n action tables, which the per-class routes read and
+enumerate_counts builds once, before a pool forks.  The tables are
+element-major, so a centralizer scan reads one contiguous row of all
+members' values per element, and a member list's values (its "cols", row
+x holding m(x) for every member m) are one row gather.
 
 process_class builds the pair space of one representative and labels its
 orbits; it serves the explicit classification, which needs one point per
 orbit, and is the second route the tests compare the counts with.  Both
-per-class routes get C(f) from one helper (_centralizer: the cached
-member list, its cols and its generators), and both results
-give cq and mq as numerators over |Aut|.
+per-class routes get C(f) from one helper (_centralizer: the scanned
+member list, its cols and its generators), and both results give cq and
+mq as numerators over |Aut|.
 
 The image of x - f(x) - m(x) is a homomorphic image, so it is spanned by
 the values on the rank canonical generators, read from the members'
@@ -83,7 +85,7 @@ ENGINE_VERSION = 4
 _CHUNK_ROWS = 1 << 19
 # most psi rows in one run of medial terms: the registry gathers copy their
 # index arrays to intp, so joining every term of a large C(h) at once costs
-# memory; a single larger term is joined in slices of _CHUNK_ROWS rows
+# memory; a single larger term is a run of its own
 _MEDIAL_ROWS = 1 << 16
 _MAX_GENERATOR_TRIES = 64
 # members per pass of _member_products: its int64 keys then stay in cache
@@ -340,7 +342,7 @@ class SubgroupRegistry:
         masks = self._cidx[sids] == 0
         y = xs
         while True:
-            grown = masks | np.take_along_axis(masks, self.sub[:, y].T, axis=1)
+            grown = masks | _take2(masks, np.arange(len(y))[:, None], self.sub[:, y].T)
             if np.array_equal(grown, masks):
                 break
             masks = grown
@@ -361,7 +363,6 @@ class EngineContext:
         self.seed_base = f"enumeration:{group.descriptor}"
         self.subgroups = SubgroupRegistry(group)
         self._class_labels: np.ndarray | None = None
-        self._centralizers: dict[int, np.ndarray] = {}
         self._position_map: np.ndarray | None = None
 
     # -- member-space primitives -------------------------------------------
@@ -393,31 +394,32 @@ class EngineContext:
             frontier = np.concatenate(new) if new else np.empty(0, np.int64)
         return mask, size
 
-    def find_generators(self, members: np.ndarray, cols: np.ndarray, seed: str) -> list[int]:
-        """A small generating set for a proper subgroup given by its member list.
+    def find_generators(
+        self, members: np.ndarray, cols: np.ndarray, seed: str, positions=slice(None)
+    ) -> tuple[list[int], list[np.ndarray]]:
+        """Generators of a subgroup of a proper subgroup's member list, and their permutations.
 
-        members is the sorted member-index list and cols their values (row
-        x holds m(x) for every member m).  Random members outside the
-        subgroup generated so far are added until it is all of members;
-        each addition at least doubles it, so 64 tries cover any group.
-        The search never leaves the member list: right multiplication by a
-        drawn generator g is computed once, as a permutation q of local
-        positions (m -> m g, read through position_map and checked).  The
-        subgroup S first grows to S<g> by doubling (S <- S ∪ S q, q <- q q),
-        then by a breadth-first sweep of all the permutations from the
-        positions it holds.  Aut(G) itself is never searched: its
-        generators are agens.
+        members is the sorted member-index list, cols their values (row x
+        holds m(x) for every member m) and positions, ascending, the
+        subgroup's positions in it (default: all).  Random members outside
+        the subgroup S generated so far are added until S is all of it;
+        each addition at least doubles S, so 64 tries cover any group.
+        Right multiplication by a drawn g is computed once, as a permutation
+        q of members' positions (m -> m g, read through position_map and
+        checked), and returned with g.  S grows to S<g> by doubling
+        (S <- S ∪ S q, q <- q q), then by a breadth-first sweep of all the
+        permutations.  Aut(G) itself is never searched: its generators are agens.
         """
-        c_size = len(members)
         pos_map = self.position_map(members)
         rng = random.Random(f"{self.seed_base}:{seed}")
         gens: list[int] = []
         perms: list[np.ndarray] = []
+        pool = members[positions]
         inside = members == self.aut.identity_index
-        while not inside.all():
+        while not inside[positions].all():
             if len(gens) == _MAX_GENERATOR_TRIES:
-                raise AssertionError(f"could not generate subgroup of size {c_size}")
-            outside = members[~inside]
+                raise AssertionError(f"could not generate subgroup of size {len(pool)}")
+            outside = pool[~inside[positions]]
             gens.append(int(outside[rng.randrange(len(outside))]))
             pos = _member_products(self, cols, gens[-1])
             pos = _positions(members, pos_map, pos, "closure left the subgroup")
@@ -432,7 +434,7 @@ class EngineContext:
                 inside.put(idx, True)
                 q = q.take(q)
             _sweep(perms, np.flatnonzero(inside), inside, True)
-        return gens or [self.aut.identity_index]
+        return gens or [self.aut.identity_index], perms
 
     @property
     def agens(self) -> list[int]:
@@ -468,12 +470,8 @@ class EngineContext:
         return out
 
     def centralizer_members(self, f: int) -> np.ndarray:
-        """Sorted member indices of C(f), kept per member for reuse in this process."""
-        members = self._centralizers.get(f)
-        if members is None:
-            members = np.flatnonzero(self.centralizer_mask(f)).astype(np.int32)
-            self._centralizers[f] = members
-        return members
+        """Sorted member indices of C(f), scanned on every call."""
+        return np.flatnonzero(self.centralizer_mask(f)).astype(np.int32)
 
     def conjugacy_class_labels(self) -> np.ndarray:
         """Label every member with the smallest member of its conjugacy class.
@@ -538,11 +536,11 @@ def _coset_data(ctx: EngineContext, f: int) -> np.ndarray:
 def _centralizer(ctx: EngineContext, f: int) -> tuple[np.ndarray, np.ndarray | None, list[int]]:
     """C(f) for a per-class route: members, their values and generators.
 
-    members is C(f)'s cached sorted member list and cols their values, row
-    x holding m(x) for every member m: the row gather
-    tables.T[:, members] of the element-major tables.  cols is None when
-    C(f) is all of Aut, whose generators are agens and whose values are
-    evaluated from the generator images (see _member_products).
+    members is C(f)'s sorted member list and cols their values, row x
+    holding m(x) for every member m: the row gather tables.T[:, members] of
+    the element-major tables.  cols is None when C(f) is all of Aut, whose
+    generators are agens and whose values are evaluated from the generator
+    images (see _member_products).
     """
     members = ctx.centralizer_members(f)
     c_size = len(members)
@@ -551,7 +549,7 @@ def _centralizer(ctx: EngineContext, f: int) -> tuple[np.ndarray, np.ndarray | N
     if c_size == ctx.N:
         return members, None, ctx.agens
     cols = ctx.aut.tables.T[:, members]
-    return members, cols, ctx.find_generators(members, cols, f"class {f}")
+    return members, cols, ctx.find_generators(members, cols, f"class {f}")[0]
 
 
 def process_class(ctx: EngineContext, f: int) -> ClassResult:
@@ -644,7 +642,8 @@ class ClassTerms:
     reps runs over the conjugacy class representatives f of C(h), and
     class_sizes[i] is the size of f's class in C(h).  fixed[i] counts the
     pairs (psi, coset of Im(1 - f - psi)) that h fixes, and medial_fixed[i]
-    those with psi in C(f).
+    those with psi in C(f).  For a central h, medial_fixed[i] of a class of
+    size above 1 is a count only once enumerate_counts has filled it.
     """
 
     rep: int
@@ -699,10 +698,8 @@ def _local_class_labels(
 
 def _term_chunks(rows: np.ndarray, width: int):
     """Runs [a, b) of consecutive terms with at most _MEDIAL_ROWS rows in all
-    and at most _CHUNK_ROWS // width terms; a larger term is a run of its own.
-
-    width is the member axis of a run's commuting test: 1 for a central h,
-    whose terms read cached centralizers, else the cosets of C(h)'s centre."""
+    and at most _CHUNK_ROWS // width terms, width being the cosets of C(h)'s
+    centre that a run's commuting test reads; a larger term is a run of its own."""
     ends = np.cumsum(rows)
     a = 0
     while a < len(rows):
@@ -719,21 +716,13 @@ def _centre_cosets(
     """C(h)'s positions by coset of its centre Z: one row per coset, its smallest position first.
 
     members is a proper C(h) as sorted member indices, cols_c their values
-    and zpos the positions of Z, C(h)'s singleton classes.  Z's generators
-    are found by the local search; right multiplication by each is a
-    permutation of C(h)'s positions (m -> m z, read through position_map),
-    and the cosets mZ are the orbits these generate.
+    and zpos the positions of Z, C(h)'s singleton classes.  The local search
+    for Z's generators gives right multiplication by each as a permutation
+    of C(h)'s positions (m -> m z): the cosets mZ are their orbits.
     """
-    zgens = ctx.find_generators(members[zpos], cols_c[:, zpos], f"centre {h}")
-    pos_map = ctx.position_map(members)  # the search wrote Z's positions into the map
-    perms = [
-        _positions(
-            members, pos_map, _member_products(ctx, cols_c, z), "the centre left the centralizer"
-        ).astype(np.intp)  # the labels gather through them every round
-        for z in zgens
-    ]
-    labels = _orbit_min_labels(perms, len(members))
-    del perms
+    perms = ctx.find_generators(members, cols_c, f"centre {h}", zpos)[1]
+    # intp: the labels gather through them every round
+    labels = _orbit_min_labels([p.astype(np.intp) for p in perms], len(members))
     cosets = len(_roots(labels))
     if cosets * len(zpos) != len(members):
         raise AssertionError("cosets of the centre do not tile the centralizer")
@@ -747,53 +736,39 @@ def _medial_fixed(
     ftabs: np.ndarray,
     d: np.ndarray,
     sizes: np.ndarray,
-    cols_c: np.ndarray | None,
-    blocks: np.ndarray | None,
+    cols_c: np.ndarray,
+    blocks: np.ndarray,
 ) -> np.ndarray:
     """Sum of [G : S + T] over psi in C(f) ∩ C(h), S = Im(1 - f - psi), per term f.
 
-    fs are the terms' representatives, with count_class's rows for them:
-    ftabs their tables and d the values g - f(g) on the canonical generators.
-    sizes are their class sizes in C(h) and t_h the registry id of
-    T = Im(h - 1).  For central h, C(f) ∩ C(h) = C(f) comes from the
-    per-process centralizer cache.  Otherwise cols_c holds C(h)'s values and
-    blocks its positions by coset of its centre Z (_centre_cosets).  f lies
-    in C(h), so Z lies in C(f) ∩ C(h), which is a union of cosets of Z: one
-    _commuting call tests a run of terms against the cosets' first members,
-    and every member of a surviving coset is a psi.  Each run's join rows
-    (g - f(g) - psi(g), one row per pair (f, psi)) are spanned from T
-    together, and the coset counts are summed per term.
+    h is not central.  fs are the terms' representatives, with count_class's
+    rows for them: ftabs their tables and d the values g - f(g) on the
+    canonical generators.  sizes are their class sizes in C(h) and t_h the
+    registry id of T = Im(h - 1).  cols_c holds C(h)'s values and blocks its
+    positions by coset of its centre Z (_centre_cosets).  f lies in C(h), so
+    Z lies in C(f) ∩ C(h), a union of cosets of Z: one _commuting call tests
+    a run of terms against the cosets' first members, and every member of a
+    surviving coset is a psi.  Each run's join rows (g - f(g) - psi(g), one
+    row per pair (f, psi), at most |C(h)| for a lone term) are spanned from
+    T together, and the coset counts are summed per term.
     """
     reg, gp = ctx.subgroups, ctx.gen_pos
-    c_size = ctx.N if cols_c is None else cols_c.shape[1]
-    if cols_c is not None:
-        img = cols_c[gp]  # (rank, |C(h)|): psi(g)
-        root_cols = cols_c[:, blocks[:, 0]]
-        root_img = root_cols[gp].astype(np.intp)  # a take casts narrower indices on every call
+    c_size = cols_c.shape[1]
+    img = cols_c[gp]  # (rank, |C(h)|): psi(g)
+    root_cols = cols_c[:, blocks[:, 0]]
+    root_img = root_cols[gp].astype(np.intp)  # a take casts narrower indices on every call
     out = np.zeros(len(fs), dtype=np.int64)
-    for a, b in _term_chunks(c_size // sizes, 1 if cols_c is None else len(blocks)):
-        if cols_c is None:
-            cents = [ctx.centralizer_members(f) for f in fs[a:b]]
-            found = np.asarray([len(c) for c in cents])
-            psi = ctx.images[cents[0] if b - a == 1 else np.concatenate(cents)].T
-        else:
-            commuting = _commuting(ftabs[a:b], gp, root_img, root_cols)
-            found = np.count_nonzero(commuting, axis=1) * blocks.shape[1]
-            psi = img[:, blocks[np.nonzero(commuting)[1]].ravel()]
+    for a, b in _term_chunks(c_size // sizes, len(blocks)):
+        commuting = _commuting(ftabs[a:b], gp, root_img, root_cols)
+        found = np.count_nonzero(commuting, axis=1) * blocks.shape[1]
         # |C(f) ∩ C(h)| scanned must match |C(h)| / |class of f|
         if (found * sizes[a:b] != c_size).any():
             raise AssertionError("the scanned centralizer disagrees with the class size")
-        rows = psi.shape[1]
-        if b - a == 1:  # a single term may be large: broadcast, and join in slices
-            dt = np.broadcast_to(d[a], (rows, len(gp)))
-        else:
-            dt = np.repeat(d[a:b], found, axis=0)
-        vals = np.empty(rows, dtype=np.int32)
-        for lo in range(0, rows, _CHUNK_ROWS):
-            hi = min(lo + _CHUNK_ROWS, rows)
-            joined = (_take2(reg.sub, dt[lo:hi, i], psi[i, lo:hi]) for i in range(len(gp)))
-            s = reg.span(np.full(hi - lo, t_h, dtype=np.int32), joined)
-            vals[lo:hi] = reg.counts[s]  # read after the joins, which may grow the registry
+        psi = img[:, blocks[np.nonzero(commuting)[1]].ravel()]
+        dt = np.repeat(d[a:b], found, axis=0)
+        joined = (_take2(reg.sub, dt[:, i], psi[i]) for i in range(len(gp)))
+        s = reg.span(np.full(psi.shape[1], t_h, dtype=np.int32), joined)
+        vals = reg.counts[s]  # read after the joins, which may grow the registry
         starts = np.concatenate([[0], np.cumsum(found[:-1])])
         out[a:b] = np.add.reduceat(vals, starts, dtype=np.int64)
     return out
@@ -819,10 +794,11 @@ def count_class(ctx: EngineContext, h: int) -> ClassTerms:
     in C(h) has size 1 has C(f) ∩ C(h) = C(h), so its medial term is its
     fixed term; that f commutes with C(h)'s generators is checked.  These
     terms make up the centre Z of C(h), and the other terms of a proper
-    C(h) are tested for commuting once per coset of Z (_centre_cosets).  No
-    pair space is built, and a proper C(h) is handled in its own member
-    list: generator searches, class labels, centre cosets and the commuting
-    test never touch the rest of Aut(G).
+    C(h) are tested for commuting once per coset of Z (_centre_cosets); for
+    a central h they hold the fixed terms until enumerate_counts fills them.
+    No pair space is built, and only C(h) is scanned: a proper C(h) is
+    handled in its own member list, and generator searches, class labels,
+    centre cosets and the commuting test never touch the rest of Aut(G).
     """
     n = ctx.group.order
     reg = ctx.subgroups
@@ -864,9 +840,8 @@ def count_class(ctx: EngineContext, h: int) -> ClassTerms:
         raise AssertionError("the scanned centralizer disagrees with the class size")
     medial_fixed = fix.copy()
     rest = ~single
-    if rest.any():
-        # the singleton classes are C(h)'s centre
-        blocks = None if cols_c is None else _centre_cosets(ctx, h, members, cols_c, roots[single])
+    if cols_c is not None and rest.any():
+        blocks = _centre_cosets(ctx, h, members, cols_c, roots[single])
         medial_fixed[rest] = _medial_fixed(
             ctx, t_h, fs[rest], ftabs[rest], moved[:, gp][rest], sizes[rest], cols_c, blocks
         )
@@ -912,6 +887,30 @@ class GroupCounts:
     class_results: list[ClassTerms] | list[ClassResult]
 
 
+def _fill_central_terms(ctx: EngineContext, results: list[ClassTerms]) -> None:
+    """Fill each central h's medial terms from every class f's own terms.
+
+    For central h, C(f) ∩ C(h) = C(f), whose g fix T = Im(h - 1) and send
+    Im(1 - f - psi) to Im(1 - f - g psi g^-1): the term (h, f) sums
+    |class of psi'| * [G : Im(1 - f - psi') + T] over f's reps psi', all
+    rows (h, f, psi') in one registry span.  A singleton f gets its fixed term.
+    """
+    reg = ctx.subgroups
+    central = [r for r in results if r.centralizer_order == ctx.N]
+    zs = np.asarray([r.rep for r in central])
+    fs = np.repeat([r.rep for r in results], [len(r.reps) for r in results])
+    vals = _spanning_values(ctx, fs, np.concatenate([r.reps for r in results])).T
+    t = reg.span(np.zeros(len(zs), dtype=np.int32), _take2(reg.sub, ctx.images[zs], ctx.gen_pos).T)
+    s = reg.span(np.repeat(t, len(fs)), np.tile(vals, len(zs)))
+    weighted = reg.counts[s].reshape(len(zs), -1) * np.concatenate([r.class_sizes for r in results])
+    starts = np.cumsum([0] + [len(r.reps) for r in results[:-1]])
+    terms = dict(zip([r.rep for r in results], np.add.reduceat(weighted, starts, axis=1).T))
+    for i, res in enumerate(central):
+        res.medial_fixed = [int(terms[f][i]) for f in res.reps]
+        if any(m != x for m, x, k in zip(res.medial_fixed, res.fixed, res.class_sizes) if k == 1):
+            raise AssertionError("a central medial term disagrees with its fixed term")
+
+
 def enumerate_counts(
     group: AbelianGroup,
     aut: AutGroup,
@@ -946,7 +945,7 @@ def enumerate_counts(
     _WORKER_CTX = ctx
     _WORKER_COLLECT = collect
     results = []
-    cq_num = mq_num = 0
+    cq_num = 0
     try:
         with contextlib.ExitStack() as stack:
             mapped = map(_run_class, class_reps)
@@ -956,9 +955,7 @@ def enumerate_counts(
                 mapped = ex.map(_run_class, class_reps, chunksize=1)
             for res in mapped:
                 results.append(res)
-                cq, mq = res.numerators(ctx.N)
-                cq_num += cq
-                mq_num += mq
+                cq_num += res.numerators(ctx.N)[0]
                 log.debug(
                     "%s: class %d/%d done (cq so far %d)",
                     group.descriptor,
@@ -975,6 +972,9 @@ def enumerate_counts(
     # sum over classes of |C(f)| orbits
     if pair_orbits != sum(r.centralizer_order for r in results):
         raise AssertionError("pair orbits disagree with the sum of centralizer orders")
+    if not collect:
+        _fill_central_terms(ctx, results)
+    mq_num = sum(r.numerators(ctx.N)[1] for r in results)
     if cq_num % ctx.N or mq_num % ctx.N:
         raise AssertionError("the class terms do not add up to whole counts over |Aut|")
     return GroupCounts(

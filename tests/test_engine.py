@@ -3,7 +3,9 @@
 import dataclasses
 import hashlib
 import logging
+import os
 import random
+import time
 
 import numpy as np
 import pytest
@@ -107,10 +109,11 @@ def _central_case():
 def _act_by(monkeypatch, ctx, f, table):
     """Make every member act on G by table where process_class reads the action.
 
-    C(f) is scanned first with the real tables: scanned with the faulty
-    ones it would shrink to {1}, and there would be nothing to check.
+    C(f) is pinned to its scan with the real tables: scanned with the
+    faulty ones it would shrink to {1}, and there would be nothing to check.
     """
-    ctx.centralizer_members(f)
+    members = ctx.centralizer_members(f)
+    monkeypatch.setattr(ctx, "centralizer_members", lambda g: members if g == f else None)
     fake = np.broadcast_to(table.astype(ctx.group.index_dtype), (ctx.N, ctx.group.order))
     monkeypatch.setitem(vars(ctx.aut), "tables", fake)
 
@@ -155,7 +158,7 @@ def test_centralizer_generators_must_centralize(monkeypatch):
     reps = conjugacy_class_reps(A).representatives
     f = next(r for r in reps if not ctx.centralizer_mask(r).all())
     outsider = int(np.flatnonzero(~ctx.centralizer_mask(f))[0])
-    monkeypatch.setattr(EngineContext, "find_generators", lambda self, *args: [outsider])
+    monkeypatch.setattr(EngineContext, "find_generators", lambda self, *args: ([outsider], []))
     with pytest.raises(AssertionError, match="does not centralize the representative"):
         process_class(ctx, f)
 
@@ -173,7 +176,7 @@ def test_local_generator_search_matches_the_closure_search(desc, proper):
         if len(members) == len(A):
             continue
         cols = np.ascontiguousarray(A.tables[members].T)
-        gens = ctx.find_generators(members, cols, f"class {h}")
+        gens, _ = ctx.find_generators(members, cols, f"class {h}")
         assert gens == closure_generators(ctx, members, len(members), f"class {h}"), h
         assert ctx.closure_mask(gens)[1] == len(members)
         checked += 1
@@ -219,7 +222,7 @@ def test_count_class_generators_must_centralize(monkeypatch):
     reps = conjugacy_class_reps(A).representatives
     h = next(r for r in reps if not ctx.centralizer_mask(r).all())
     outsider = int(np.flatnonzero(~ctx.centralizer_mask(h))[0])
-    monkeypatch.setattr(EngineContext, "find_generators", lambda self, *args: [outsider])
+    monkeypatch.setattr(EngineContext, "find_generators", lambda self, *args: ([outsider], []))
     with pytest.raises(AssertionError, match="does not centralize the representative"):
         count_class(ctx, h)
 
@@ -229,13 +232,14 @@ def test_fixed_points_match_brute_force(desc):
     g = parse_group(desc)
     A = aut_group(g)
     ctx = EngineContext(g, A)
+    counts = enumerate_counts(g, A)
     terms = 0
-    for h in conjugacy_class_reps(A).representatives:
-        res = count_class(ctx, h)
+    # a central h's medial terms are read once enumerate_counts has filled them
+    for res in counts.class_results:
         for f, fixed, medial in zip(res.reps, res.fixed, res.medial_fixed):
-            assert (fixed, medial) == fixed_pairs(A, f, h), (h, f)
+            assert (fixed, medial) == fixed_pairs(A, f, res.rep), (res.rep, f)
             terms += 1
-    assert terms == enumerate_counts(g, A).commuting_pair_orbits
+    assert terms == counts.commuting_pair_orbits
 
 
 def _fields(counts):
@@ -327,12 +331,10 @@ def test_medial_terms_match_the_full_centralizer_sum(desc, proper):
     A = aut_group(g)
     ctx = EngineContext(g, A)
     checked = 0
-    for h in conjugacy_class_reps(A).representatives:
-        res = count_class(ctx, h)
-        if res.centralizer_order == len(A):
-            continue
-        assert res.medial_fixed == medial_fixed_full(ctx, h, res.reps), h
-        checked += 1
+    # a central h's terms are read once enumerate_counts has filled them
+    for res in enumerate_counts(g, A).class_results:
+        assert res.medial_fixed == medial_fixed_full(ctx, res.rep, res.reps), res.rep
+        checked += res.centralizer_order < len(A)
     assert checked == proper
 
 
@@ -340,11 +342,11 @@ def test_centre_cosets_must_tile_the_centralizer(monkeypatch):
     ctx, h = _noncentral_rep("C2^4")
     real = EngineContext.find_generators
 
-    def identity_only(self, members, cols, seed):
+    def identity_only(self, members, cols, seed, positions=None):
         # the centre's generators: only the identity, so every coset is one member
         if seed.startswith("centre"):
-            return [self.aut.identity_index]
-        return real(self, members, cols, seed)
+            return [self.aut.identity_index], []
+        return real(self, members, cols, seed, positions)
 
     monkeypatch.setattr(EngineContext, "find_generators", identity_only)
     with pytest.raises(AssertionError, match="cosets of the centre do not tile"):
@@ -371,8 +373,9 @@ def test_medial_commuting_test_runs_once_per_centre_coset(monkeypatch):
         centre = res.class_sizes.count(1)
         if c_size == len(A) or centre == len(res.reps):
             continue
-        # the first call checks the singleton terms against C(h)'s generators
-        assert widths[1:] and set(widths[1:]) == {c_size // centre}, h
+        # the first call scans C(h), the second checks the singleton terms
+        # against C(h)'s generators
+        assert widths[2:] and set(widths[2:]) == {c_size // centre}, h
         checked += 1
     assert checked > 0
 
@@ -400,7 +403,7 @@ def test_local_class_labels_refuse_a_conjugate_outside_the_centralizer(monkeypat
     "limit, value",
     [
         ("_MEDIAL_ROWS", 1),  # every medial run one term
-        ("_CHUNK_ROWS", 1000),  # one term per run, and large terms joined in slices
+        ("_CHUNK_ROWS", 1000),  # one term per run, and the centralizer scans in blocks
     ],
 )
 def test_medial_chunks_change_nothing(desc, limit, value, monkeypatch):
@@ -427,16 +430,67 @@ def test_group_totals_must_divide_by_the_group_order(monkeypatch):
     g = parse_group("C3xC3")
     A = aut_group(g)
 
+    perturbed = []
+
     def one_more(ctx, h):
         res = real(ctx, h)
-        if h != A.identity_index:
+        if perturbed or res.centralizer_order == len(A):
             return res
-        # the identity pair's term has |C(f) ∩ C(h)| = |Aut|: one more in the numerator
-        return dataclasses.replace(res, fixed=[res.fixed[0] + 1] + res.fixed[1:])
+        perturbed.append(h)
+        # a proper class's singleton term: one more fixed point adds
+        # |Aut| / |C(h)| to the numerator, which is not a multiple of |Aut|
+        i = res.class_sizes.index(1)
+        fixed = res.fixed[:i] + [res.fixed[i] + 1] + res.fixed[i + 1 :]
+        return dataclasses.replace(res, fixed=fixed)
 
     monkeypatch.setattr(_engine, "count_class", one_more)
     with pytest.raises(AssertionError, match=r"whole counts over \|Aut\|"):
         enumerate_counts(g, A)
+    assert perturbed
+
+
+def test_central_medial_terms_must_match_their_fixed_terms(monkeypatch):
+    real = _engine.count_class
+    g = parse_group("C3xC3")
+    A = aut_group(g)
+
+    def one_more(ctx, h):
+        res = real(ctx, h)
+        if h != A.identity_index:
+            return res
+        # f alone in its class of a central h: the term filled from C(f)'s
+        # classes must come back to the fixed term
+        i = res.class_sizes.index(1)
+        fixed = res.fixed[:i] + [res.fixed[i] + 1] + res.fixed[i + 1 :]
+        return dataclasses.replace(res, fixed=fixed)
+
+    monkeypatch.setattr(_engine, "count_class", one_more)
+    with pytest.raises(AssertionError, match="a central medial term disagrees with its fixed term"):
+        enumerate_counts(g, A)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_each_centralizer_is_scanned_once_per_enumeration(monkeypatch, tmp_path, jobs):
+    g = parse_group("C3xC3")
+    A = aut_group(g)
+    scans = tmp_path / "scans"
+    real = EngineContext.centralizer_mask
+
+    def spy(self, f):
+        # appended to a file, which the forked pool workers write to as well
+        with open(scans, "a") as out:
+            out.write(f"{os.getpid()} {f}\n")
+        time.sleep(0.02)  # holds the scanning worker, so that both draw classes
+        return real(self, f)
+
+    monkeypatch.setattr(_engine, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(EngineContext, "centralizer_mask", spy)
+    counts = enumerate_counts(g, A, jobs=jobs)
+    rows = [line.split() for line in scans.read_text().splitlines()]
+    assert sorted(int(f) for _, f in rows) == sorted(r.rep for r in counts.class_results)
+    pids = {int(pid) for pid, _ in rows}
+    assert len(pids) == jobs
+    assert (os.getpid() in pids) == (jobs == 1)
 
 
 def _triples(desc, jobs=1):
