@@ -50,11 +50,12 @@ mq as numerators over |Aut|.
 
 The image of x - f(x) - m(x) is a homomorphic image, so it is spanned by
 the values on the rank canonical generators, read from the members'
-generator columns.  A per-group SubgroupRegistry, built with the
-context, is the only place subgroups are identified: it numbers the
-subgroups met so far, keeps each one's cosets (found once per subgroup),
-and fills a join table join[s, x] = id of S + <x> on demand.  A subgroup
-is named only by a span: every image subgroup is a span of rank values
+generator columns.  A per-group SubgroupRegistry is the only place
+subgroups are identified: it closes the group's subgroup lattice once,
+when an enumeration starts, numbering every subgroup with its cosets and
+a complete join table join[s, x] = id of S + <x>, so that a join is one
+gather; the Aut-wide stages never build it.  A subgroup is named only by
+a span: every image subgroup is a span of rank values
 from the trivial subgroup (or from Im(h - 1) in count_class), and so is
 its image h(S) under a member h, which process_class checks against the
 member permutation.  The class loop reads cosets by registry id, and no
@@ -70,6 +71,7 @@ import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -248,87 +250,76 @@ def _member_products(
 
 
 class SubgroupRegistry:
-    """The one owner of subgroup identity: the subgroups of a group met so far.
+    """Every subgroup of a group, numbered: the one owner of subgroup identity.
 
-    Subgroup ids are dense and stable; id 0 is the trivial subgroup, and
-    the rest of the engine names a subgroup by its id alone.  Per subgroup
-    the registry stores a `cidx` row mapping every element to the ordinal
-    of its coset (cosets ordered by their smallest element, so the
-    subgroup itself is coset 0 and its members are `cidx == 0`), the coset
-    count, and the ascending coset representatives, padded to n.
-    `join[s, x]` is the id of S + <x>, or -1 until filled.  Subgroups are
-    named only by spans (`join`, `span`); the packed element mask that
-    keeps a subgroup from being registered twice is private.
+    The constructor closes the subgroup lattice.  Starting from the trivial
+    subgroup, each level joins every subgroup that the level before it
+    found with one element per coset (S + <x> depends only on x + S), by
+    doubling over all of the level's rows at once; a packed element mask
+    keeps a subgroup from being numbered twice.  A level that finds no new
+    subgroup ends the build, and every subgroup has been found by then: it
+    is a span of its own elements.  Subgroup ids are dense; id 0 is the
+    trivial subgroup, and the rest of the engine names a subgroup by its id
+    alone.  Per subgroup the registry stores a `cidx` row mapping every
+    element to the ordinal of its coset (cosets ordered by their smallest
+    element, so the subgroup itself is coset 0 and its `masks` row is
+    `cidx == 0`), the coset count, and the ascending coset representatives,
+    padded to n.  `join_table[s, x]` is the id of S + <x>.  Subgroups are
+    named only by spans (`join`, `span`).
     """
 
     def __init__(self, group: AbelianGroup):
-        self.n = group.order
-        self.add = np.asarray(group.add_table)
+        n, add = group.order, np.asarray(group.add_table)
         # contiguous, so that _take2's ravel is a view: sub_table is a column gather
         self.sub = np.ascontiguousarray(group.sub_table)
-        self._ids: dict[bytes, int] = {}
-        self._cidx = np.zeros((0, self.n), dtype=np.int64)
-        self._counts = np.zeros(0, dtype=np.int64)
-        self._reps = np.zeros((0, self.n), dtype=group.index_dtype)
-        self._join = np.zeros((0, self.n), dtype=np.int32)
-        self._register(np.arange(self.n) == 0)
+        ids: dict[bytes, int] = {}
+        cidx: list[np.ndarray] = []
+        reps: list[np.ndarray] = []
+        joins: list[np.ndarray] = []  # per subgroup: the id of S + <x> per coset x + S
+
+        def number(mask: np.ndarray) -> int:
+            key = np.packbits(mask).tobytes()
+            if key not in ids:
+                ids[key] = len(cidx)
+                canon = add[:, np.flatnonzero(mask)].min(axis=1)  # smallest element of each coset
+                reps.append(np.flatnonzero(canon == np.arange(n)))
+                ordinal = np.empty(n, dtype=np.int64)
+                ordinal[reps[-1]] = np.arange(len(reps[-1]))
+                cidx.append(ordinal[canon])
+            return ids[key]
+
+        level = [number(np.arange(n) == 0)]
+        while level:
+            found = len(cidx)
+            rows = [len(reps[s]) for s in level]
+            masks = np.repeat(np.stack([cidx[s] == 0 for s in level]), rows, axis=0)
+            # S + <x> by doubling: after k rounds a row holds S + {0..2^k - 1}x,
+            # and once adding y = 2^k x changes nothing the row is a subgroup
+            y = np.concatenate([reps[s] for s in level])
+            while True:
+                grown = masks | _take2(masks, np.arange(len(y))[:, None], self.sub[:, y].T)
+                if np.array_equal(grown, masks):
+                    break
+                masks = grown
+                y = add[y, y]
+            joins += np.split(np.array([number(m) for m in masks]), np.cumsum(rows)[:-1])
+            level = range(found, len(cidx))
+
+        self.cidx = np.stack(cidx)
+        self.masks = self.cidx == 0
+        self.counts = np.array([len(r) for r in reps], dtype=np.int64)
+        self.reps = np.zeros((len(reps), n), dtype=group.index_dtype)
+        for row, r in zip(self.reps, reps):
+            row[: len(r)] = r
+        starts = np.cumsum(self.counts) - self.counts
+        self.join_table = np.concatenate(joins).astype(np.int32)[starts[:, None] + self.cidx]
 
     def __len__(self):
-        return len(self._ids)
-
-    @property
-    def cidx(self) -> np.ndarray:
-        return self._cidx[: len(self)]
-
-    @property
-    def counts(self) -> np.ndarray:
-        return self._counts[: len(self)]
-
-    @property
-    def reps(self) -> np.ndarray:
-        return self._reps[: len(self)]
-
-    @property
-    def masks(self) -> np.ndarray:
-        return self.cidx == 0
-
-    @property
-    def join_table(self) -> np.ndarray:
-        return self._join[: len(self)]
-
-    def _register(self, mask: np.ndarray) -> int:
-        key = np.packbits(mask).tobytes()
-        sid = self._ids.get(key)
-        if sid is not None:
-            return sid
-        sid = len(self)
-        if sid == len(self._cidx):
-            extra = max(16, sid)
-            self._cidx = np.pad(self._cidx, ((0, extra), (0, 0)))
-            self._counts = np.pad(self._counts, (0, extra))
-            self._reps = np.pad(self._reps, ((0, extra), (0, 0)))
-            self._join = np.pad(self._join, ((0, extra), (0, 0)), constant_values=-1)
-        elems = np.flatnonzero(mask)
-        canon = self.add[:, elems].min(axis=1)  # smallest element of each coset
-        reps = np.flatnonzero(canon == np.arange(self.n))
-        ordinal = np.empty(self.n, dtype=np.int64)
-        ordinal[reps] = np.arange(len(reps))
-        self._cidx[sid] = ordinal[canon]
-        self._counts[sid] = len(reps)
-        self._reps[sid, : len(reps)] = reps
-        self._join[sid, elems] = sid
-        self._ids[key] = sid
-        return sid
+        return len(self.counts)
 
     def join(self, s: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Ids of S + <x> for parallel arrays of subgroup ids and elements."""
-        out = _take2(self._join, s, x)
-        if out.min() < 0:
-            missing = out < 0
-            pairs = np.unique(s[missing].astype(np.int64) * self.n + x[missing])
-            self._fill(pairs // self.n, pairs % self.n)
-            out = _take2(self._join, s, x)
-        return out
+        return _take2(self.join_table, s, x)
 
     def span(self, s: np.ndarray, xs) -> np.ndarray:
         """Ids of S + <x, x', ...>: each element array of xs joined into s in turn."""
@@ -336,23 +327,13 @@ class SubgroupRegistry:
             s = self.join(s, x)
         return s
 
-    def _fill(self, sids: np.ndarray, xs: np.ndarray) -> None:
-        # S + <x> by doubling: after k rounds a row holds S + {0..2^k - 1}x,
-        # and once adding y = 2^k x changes nothing the row is a subgroup
-        masks = self._cidx[sids] == 0
-        y = xs
-        while True:
-            grown = masks | _take2(masks, np.arange(len(y))[:, None], self.sub[:, y].T)
-            if np.array_equal(grown, masks):
-                break
-            masks = grown
-            y = self.add[y, y]
-        ids = [self._register(m) for m in masks]
-        self._join[sids, xs] = ids
-
 
 class EngineContext:
-    """Shared state for one group's enumeration; only the subgroup registry grows."""
+    """Shared state for one group's enumeration.
+
+    The subgroup lattice and Aut(G)'s class labels are built on first read
+    and never change after; only the position map is rewritten, per list.
+    """
 
     def __init__(self, group: AbelianGroup, aut: AutGroup):
         self.group = group
@@ -361,8 +342,6 @@ class EngineContext:
         self.images = aut.images
         self.gen_pos = aut.gen_pos
         self.seed_base = f"enumeration:{group.descriptor}"
-        self.subgroups = SubgroupRegistry(group)
-        self._class_labels: np.ndarray | None = None
         self._position_map: np.ndarray | None = None
 
     # -- member-space primitives -------------------------------------------
@@ -483,12 +462,15 @@ class EngineContext:
         """
         return _sweep_labels([self.conj_perm(g) for g in self.agens], self.N)
 
-    @property
+    @cached_property
     def class_labels(self) -> np.ndarray:
         """Conjugacy class labels of Aut(G), computed once."""
-        if self._class_labels is None:
-            self._class_labels = self.conjugacy_class_labels()
-        return self._class_labels
+        return self.conjugacy_class_labels()
+
+    @cached_property
+    def subgroups(self) -> SubgroupRegistry:
+        """The group's subgroup lattice, built once; the Aut-wide stages never read it."""
+        return SubgroupRegistry(self.group)
 
 
 # ---------------------------------------------------------------------------
@@ -768,7 +750,7 @@ def _medial_fixed(
         dt = np.repeat(d[a:b], found, axis=0)
         joined = (_take2(reg.sub, dt[:, i], psi[i]) for i in range(len(gp)))
         s = reg.span(np.full(psi.shape[1], t_h, dtype=np.int32), joined)
-        vals = reg.counts[s]  # read after the joins, which may grow the registry
+        vals = reg.counts[s]
         starts = np.concatenate([[0], np.cumsum(found[:-1])])
         out[a:b] = np.add.reduceat(vals, starts, dtype=np.int64)
     return out
@@ -925,17 +907,21 @@ def enumerate_counts(
     |Aut|, and the sums must divide by it.
     """
     ctx = EngineContext(group, aut)
+    # the per-class routes read the subgroup lattice and the action tables:
+    # built here, before a pool forks, the workers share the parent's one
+    # copy.  The lattice goes first: built after the labels or the tables,
+    # its temporaries raised the peak RSS of the benchmark's rows
+    subgroups = len(ctx.subgroups)
     class_reps = _roots(ctx.class_labels).tolist()
-    # the per-class routes read the action tables: built here, before a pool
-    # forks, the workers share the parent's one copy
     tables_mb = aut.tables.nbytes / 1e6
     # a fork pool starts all its workers at once: at most one per class and CPU
     workers = max(1, min(jobs, len(class_reps), _usable_cpus())) if hasattr(os, "fork") else 1
     log.info(
-        "%s: |Aut|=%d, %d conjugacy classes, %.0f MB of tables, %d worker%s",
+        "%s: |Aut|=%d, %d conjugacy classes, %d subgroups, %.0f MB of tables, %d worker%s",
         group.descriptor,
         ctx.N,
         len(class_reps),
+        subgroups,
         tables_mb,
         workers,
         "" if workers == 1 else "s",

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import itertools
 import logging
 import os
 import random
@@ -23,7 +24,7 @@ from centralq._engine import (
     process_class,
 )
 from centralq.abelian import parse_group
-from centralq.action import centralizer_indices, conjugacy_class_reps
+from centralq.action import centralizer_indices, conjugacy_class_reps, direct_pair_orbit_count
 from centralq.counting import classify_representatives
 from centralq.endo import aut_group, aut_group_order, one_minus, scalar_endo
 
@@ -76,27 +77,50 @@ def test_member_subgroups_match_image_sets(desc):
 
 @pytest.mark.parametrize("desc", ["C2^3", "C4xC2xC3", "C4xC4xC2"])
 def test_filled_joins_are_generated_subgroups(desc):
-    ctx, fs, _ = _cases(desc)
-    for f in fs:
-        _coset_data(ctx, f)
-    g, reg = ctx.group, ctx.subgroups
+    g = parse_group(desc)
+    reg = SubgroupRegistry(g)
     join = reg.join_table
-    filled = np.argwhere(join >= 0)
-    assert len(filled) > len(reg)
-    for s, x in filled:
+    assert join.shape == (len(reg), g.order)
+    for s, x in np.ndindex(join.shape):
         gens = [g.element_at(int(e)) for e in np.flatnonzero(reg.masks[s])]
-        want = g.subgroup_generated(gens + [g.element_at(int(x))])
+        want = g.subgroup_generated(gens + [g.element_at(x)])
         assert np.flatnonzero(reg.masks[join[s, x]]).tolist() == sorted(want.indices)
 
 
 @pytest.mark.parametrize("desc", ["C2^3", "C4xC2xC3", "C4xC4xC2"])
 def test_registry_registers_each_subgroup_once(desc):
-    ctx, fs, _ = _cases(desc)
-    for f in fs:
-        _coset_data(ctx, f)
-    reg = ctx.subgroups
+    reg = SubgroupRegistry(parse_group(desc))
     assert len(reg) > 1
     assert len(np.unique(reg.cidx, axis=0)) == len(reg)
+
+
+def _gaussian_binomial(k, j, p):
+    num = den = 1
+    for i in range(j):
+        num *= p ** (k - i) - 1
+        den *= p ** (i + 1) - 1
+    return num // den
+
+
+@pytest.mark.parametrize("p, k", [(2, 3), (2, 4), (3, 3), (5, 2), (5, 3)])
+def test_registry_holds_every_subgroup_of_an_elementary_group(p, k):
+    # C_p^k has [k choose j]_p subgroups of order p^j
+    reg = SubgroupRegistry(parse_group(f"C{p}^{k}"))
+    assert len(reg) == sum(_gaussian_binomial(k, j, p) for j in range(k + 1))
+
+
+@pytest.mark.parametrize("desc, subgroups", [("C4xC2", 8), ("C4xC4", 15), ("C4xC2xC2", 27)])
+def test_registry_holds_every_subgroup(desc, subgroups):
+    # a subgroup of a group of rank r is generated by r of its elements
+    g = parse_group(desc)
+    elements = [g.element_at(i) for i in range(g.order)]
+    brute = {
+        g.subgroup_generated(gens).indices
+        for gens in itertools.combinations_with_replacement(elements, g.rank)
+    }
+    assert len(brute) == subgroups
+    reg = SubgroupRegistry(g)
+    assert {frozenset(np.flatnonzero(m).tolist()) for m in reg.masks} == brute
 
 
 def _central_case():
@@ -418,9 +442,14 @@ def test_medial_chunks_change_nothing(desc, limit, value, monkeypatch):
 
 def test_fixed_point_numerators_must_divide_by_n(monkeypatch):
     g = parse_group("C3xC3")
-    # one coset too many for every subgroup, |ker(h - 1)| among them
-    extra = property(lambda self: self._counts[: len(self)] + 1)
-    monkeypatch.setattr(SubgroupRegistry, "counts", extra)
+    real = SubgroupRegistry.__init__
+
+    def extra(self, group):
+        real(self, group)
+        # one coset too many for every subgroup, |ker(h - 1)| among them
+        self.counts = self.counts + 1
+
+    monkeypatch.setattr(SubgroupRegistry, "__init__", extra)
     with pytest.raises(AssertionError, match="not divisible by n"):
         enumerate_counts(g, aut_group(g))
 
@@ -608,6 +637,13 @@ def test_progress_is_logged_per_class_in_the_pool(caplog):
     assert done == [(i, k) for i in range(1, k + 1)]
 
 
+def _refuse_the_lattice(monkeypatch):
+    def refuse(self, group):
+        raise AssertionError("the subgroup lattice was built")
+
+    monkeypatch.setattr(SubgroupRegistry, "__init__", refuse)
+
+
 def test_aut_wide_stages_never_build_the_tables(monkeypatch):
     from centralq import endo
 
@@ -616,6 +652,7 @@ def test_aut_wide_stages_never_build_the_tables(monkeypatch):
 
     A = aut_group(parse_group("C3^3"))
     monkeypatch.setattr(endo.AutGroup, "tables", property(refuse))
+    _refuse_the_lattice(monkeypatch)
     reps = conjugacy_class_reps(A).representatives
     ctx = EngineContext(A.group, A)
     assert len(ctx.agens) > 0
@@ -623,6 +660,42 @@ def test_aut_wide_stages_never_build_the_tables(monkeypatch):
     inverse = _inverse_perm(A.member_table(reps[-1]))
     assert A.member(reps[-1]).table.tolist() == inverse.argsort().tolist()
     assert "tables" not in vars(A)
+
+
+def test_aut_wide_callers_never_build_the_lattice(monkeypatch):
+    A = aut_group(parse_group("C2xC2"))
+    _refuse_the_lattice(monkeypatch)
+    reps = conjugacy_class_reps(A).representatives
+    # Burnside: one pair orbit per class of each centralizer
+    assert direct_pair_orbit_count(A) == sum(len(centralizer_indices(A, f)) for f in reps)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_the_lattice_is_built_once_per_enumeration_before_forking(monkeypatch, tmp_path, jobs):
+    g = parse_group("C3xC3")
+    A = aut_group(g)
+    builds = tmp_path / "builds"
+    real = SubgroupRegistry.__init__
+
+    def spy(self, group):
+        # appended to a file, which forked pool workers would write to as well
+        with open(builds, "a") as out:
+            out.write(f"{os.getpid()}\n")
+        real(self, group)
+
+    monkeypatch.setattr(_engine, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(SubgroupRegistry, "__init__", spy)
+    enumerate_counts(g, A, jobs=jobs)
+    assert builds.read_text().split() == [str(os.getpid())]
+
+
+def test_enumeration_logs_the_lattice_size(caplog):
+    g = parse_group("C3^3")
+    caplog.set_level(logging.INFO, logger=_engine.__name__)
+    enumerate_counts(g, aut_group(g))
+    [line] = [r.getMessage() for r in caplog.records if " conjugacy classes, " in r.msg]
+    assert ", 28 subgroups, " in line
+    assert line.endswith(", 1 worker")
 
 
 def test_enumerate_counts_builds_the_tables_before_forking(monkeypatch):
