@@ -262,7 +262,7 @@ class SubgroupRegistry:
     trivial subgroup, and the rest of the engine names a subgroup by its id
     alone.  Per subgroup the registry stores a `cidx` row mapping every
     element to the ordinal of its coset (cosets ordered by their smallest
-    element, so the subgroup itself is coset 0 and its `masks` row is
+    element, so the subgroup itself is coset 0: its elements are where
     `cidx == 0`), the coset count, and the ascending coset representatives,
     padded to n.  `join_table[s, x]` is the id of S + <x>.  Subgroups are
     named only by spans (`join`, `span`).
@@ -306,7 +306,6 @@ class SubgroupRegistry:
             level = range(found, len(cidx))
 
         self.cidx = np.stack(cidx)
-        self.masks = self.cidx == 0
         self.counts = np.array([len(r) for r in reps], dtype=np.int64)
         self.reps = np.zeros((len(reps), n), dtype=group.index_dtype)
         for row, r in zip(self.reps, reps):
@@ -342,7 +341,6 @@ class EngineContext:
         self.images = aut.images
         self.gen_pos = aut.gen_pos
         self.seed_base = f"enumeration:{group.descriptor}"
-        self._position_map: np.ndarray | None = None
 
     # -- member-space primitives -------------------------------------------
 
@@ -430,10 +428,12 @@ class EngineContext:
         One array per context, written at members on every call: entries
         outside members are stale, so each read is checked (_positions).
         """
-        if self._position_map is None:
-            self._position_map = np.empty(self.N, dtype=np.int32)
         self._position_map[members] = np.arange(len(members), dtype=np.int32)
         return self._position_map
+
+    @cached_property
+    def _position_map(self) -> np.ndarray:
+        return np.empty(self.N, dtype=np.int32)
 
     def centralizer_mask(self, f: int) -> np.ndarray:
         """Members m with f m == m f, by _commuting over every member.
@@ -645,11 +645,12 @@ class ClassTerms:
 
     def numerators(self, order: int) -> tuple[int, int]:
         """Sums of fixed and medial_fixed over |C(f) ∩ C(h)|, as numerators over order."""
-        # |C(f) ∩ C(h)| = |C(h)| / class size, which divides order = |Aut|
-        shares = [order // (self.centralizer_order // k) for k in self.class_sizes]
+        # |C(f) ∩ C(h)| = |C(h)| / class size and |C(h)| divides order = |Aut|,
+        # so each share order / |C(f) ∩ C(h)| is (order / |C(h)|) * class size
+        scale = order // self.centralizer_order
         return (
-            sum(x * w for x, w in zip(self.fixed, shares)),
-            sum(x * w for x, w in zip(self.medial_fixed, shares)),
+            scale * sum(x * k for x, k in zip(self.fixed, self.class_sizes)),
+            scale * sum(x * k for x, k in zip(self.medial_fixed, self.class_sizes)),
         )
 
 

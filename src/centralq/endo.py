@@ -2,9 +2,10 @@
 
 An endomorphism is stored as one integer matrix per prime component
 (column j describes the image of the j-th generator of that component;
-maps between components of different primes are always zero).  The full
-automorphism group is held as an array of generator images, one row of
-rank element indices per automorphism, which keeps group-sized orbit
+maps between components of different primes are always zero) and is
+evaluated through its cached action table.  The full automorphism group
+is held as an array of generator images, one row of rank element
+indices per automorphism, which keeps group-sized orbit
 computations cheap: a member's value at any element is a sum of scalar
 multiples of its images.  The action tables, the value of every
 automorphism at every element, are evaluated from the images only when
@@ -65,6 +66,12 @@ class Endomorphism:
     i in the image of generator j, reduced modulo the order p^{e_i} of the
     target factor; validity requires p^{max(0, e_i - e_j)} to divide
     m[i][j] so that generator images have legal orders.
+
+    The blocks are the constructor's input and `block_lists()`'s output
+    only.  The map is evaluated through its action table alone (one
+    coordinate product per prime, cached): `apply`, `image`,
+    `is_automorphism`, `compose` and `one_minus` all read tables, and a
+    derived map is read back from its table at the canonical generators.
     """
 
     __slots__ = ("group", "blocks", "_table", "_hash")
@@ -117,30 +124,13 @@ class Endomorphism:
 
     def apply(self, x: GroupElement) -> GroupElement:
         g = self.group
-        g._check(x)
-        out = [0] * len(g.factors)
-        for (p, i0, i1), mat in zip(g.prime_spans, self.blocks):
-            for i in range(i1 - i0):
-                s = sum(mat[i][j] * x[i0 + j] for j in range(i1 - i0))
-                out[i0 + i] = s % g.moduli[i0 + i]
-        return tuple(out)
+        return g.element_at(int(self.table[g.index_of(g.reduce(x))]))
 
     def compose(self, other: "Endomorphism") -> "Endomorphism":
         """self after other: apply(compose(f, g), x) == f(g(x))."""
         if self.group != other.group:
             raise ValueError("endomorphisms live on different groups")
-        g = self.group
-        blocks = []
-        for (p, i0, i1), a, b in zip(g.prime_spans, self.blocks, other.blocks):
-            k = i1 - i0
-            mods = g.moduli[i0:i1]
-            blocks.append(
-                [
-                    [sum(a[i][l] * b[l][j] for l in range(k)) % mods[i] for j in range(k)]
-                    for i in range(k)
-                ]
-            )
-        return Endomorphism(g, blocks)
+        return _from_table(self.group, self.table[other.table])
 
     def __mul__(self, other):
         return self.compose(other)
@@ -161,22 +151,20 @@ class Endomorphism:
 
     def image(self) -> Subgroup:
         g = self.group
-        gens = []
-        for j in range(len(g.factors)):
-            unit = tuple(1 if i == j else 0 for i in range(len(g.factors)))
-            gens.append(self.apply(unit))
-        return g.subgroup_generated(gens)
+        return Subgroup(g, [g.element_at(int(i)) for i in np.unique(self.table)], _checked=True)
 
     def is_automorphism(self) -> bool:
-        return len(self.image()) == self.group.order
+        """Whether the action table is a bijection."""
+        return len(np.unique(self.table)) == self.group.order
+
+
+def _from_table(group: AbelianGroup, table: np.ndarray) -> Endomorphism:
+    """The endomorphism with this action table, read at the canonical generators."""
+    return endo_from_gen_images(group, [group.element_at(int(table[s])) for s in group._strides])
 
 
 def identity(group: AbelianGroup) -> Endomorphism:
-    blocks = []
-    for p, i0, i1 in group.prime_spans:
-        k = i1 - i0
-        blocks.append([[1 if i == j else 0 for j in range(k)] for i in range(k)])
-    return Endomorphism(group, blocks)
+    return scalar_endo(group, 1)
 
 
 def scalar_endo(group: AbelianGroup, c: int) -> Endomorphism:
@@ -189,20 +177,11 @@ def scalar_endo(group: AbelianGroup, c: int) -> Endomorphism:
 
 
 def one_minus(f: Endomorphism, g: Endomorphism) -> Endomorphism:
-    """The endomorphism x -> x - f(x) - g(x), computed blockwise."""
+    """The endomorphism x -> x - f(x) - g(x), from the two maps' tables."""
     if f.group != g.group:
         raise ValueError("endomorphisms live on different groups")
-    grp = f.group
-    blocks = []
-    for (p, i0, i1), a, b in zip(grp.prime_spans, f.blocks, g.blocks):
-        k = i1 - i0
-        blocks.append(
-            [
-                [(1 if i == j else 0) - a[i][j] - b[i][j] for j in range(k)]
-                for i in range(k)
-            ]
-        )
-    return Endomorphism(grp, blocks)
+    sub = f.group.sub_table
+    return _from_table(f.group, sub[sub[np.arange(f.group.order), f.table], g.table])
 
 
 def endo_from_gen_images(group: AbelianGroup, images: Sequence[GroupElement]) -> Endomorphism:

@@ -74,7 +74,8 @@ class AffineTriple:
 
     @property
     def medial(self) -> bool:
-        return self.phi.compose(self.psi) == self.psi.compose(self.phi)
+        phi, psi = self.phi.table, self.psi.table
+        return np.array_equal(phi[psi], psi[phi])
 
     def __eq__(self, other):
         return (
@@ -202,7 +203,12 @@ def is_isomorphic_affine(t1: AffineTriple, t2: AffineTriple,
     """Decide isomorphism of two affine presentations over one carrier.
 
     True iff some automorphism gamma conjugates both maps of t1 onto t2's
-    and carries c1 + u onto c2 for some u in the image of 1 - phi1 - psi1.
+    and carries c1 + U1 onto c2 + U2, U being the image of 1 - phi - psi.
+    Every member is tested at once, one element x at a time over rows of
+    Aut's element-major tables, so every temporary is |Aut| long: gamma
+    conjugates f1 onto f2 iff gamma(f1(x)) == f2(gamma(x)) for every x, so
+    no inverse is built.  Such a gamma maps U1 onto U2, so the coset test
+    is c2 - gamma(c1) in U2.
     """
     if t1.group != t2.group:
         raise ValueError("triples live over different carrier groups")
@@ -211,22 +217,13 @@ def is_isomorphic_affine(t1: AffineTriple, t2: AffineTriple,
         aut = aut_group(g)
     elif aut.group != g:
         raise ValueError("aut is the automorphism group of another carrier")
-    u_image = one_minus(t1.phi, t1.psi).image()
-    c1 = g.index_of(t1.c)
-    c2 = g.index_of(t2.c)
-    phi1, psi1 = t1.phi.table, t1.psi.table
-    phi2, psi2 = t2.phi.table, t2.psi.table
-    u_set = u_image.indices
-    sub = np.asarray(g.sub_table)
-    for i in range(len(aut)):
-        gt = aut.tables[i]
-        ginv = np.empty_like(gt)
-        ginv[gt] = np.arange(g.order, dtype=gt.dtype)
-        if not np.array_equal(gt[phi1[ginv]], phi2):
-            continue
-        if not np.array_equal(gt[psi1[ginv]], psi2):
-            continue
-        # c2 in gamma(c1 + U)  <=>  gamma^-1(c2) - c1 in U
-        if int(sub[ginv[c2], c1]) in u_set:
-            return True
-    return False
+    by_element = aut.tables.T  # row x holds gamma(x) for every member gamma
+    maps = [(t1.phi.table, t2.phi.table), (t1.psi.table, t2.psi.table)]
+    in_u2 = np.zeros(g.order, dtype=bool)
+    in_u2[one_minus(t2.phi, t2.psi).table] = True
+    c2_minus = g.sub_table[g.index_of(t2.c)]  # c2 - y for every element y
+    ok = in_u2[c2_minus[by_element[g.index_of(t1.c)]]]
+    for x in range(g.order):
+        for f1, f2 in maps:
+            ok &= by_element[f1[x]] == f2.take(by_element[x])
+    return bool(ok.any())

@@ -116,10 +116,18 @@ def test_is_automorphism_examples():
 
 @pytest.mark.parametrize("desc", ["C4", "C2xC2", "C6", "C4xC2", "C8", "C3xC3"])
 def test_automorphism_criterion_matches_permutation_check(desc):
+    # is_automorphism checks that the table is a permutation; the criterion
+    # is that the generator images, the blocks' columns, span the group
     g = parse_group(desc)
     for f in all_endomorphisms(g):
-        table_is_perm = len(set(int(v) for v in f.table)) == g.order
-        assert f.is_automorphism() == table_is_perm
+        images = []
+        for (p, i0, i1), block in zip(g.prime_spans, f.block_lists()):
+            for j in range(i1 - i0):
+                x = [0] * g.rank
+                x[i0:i1] = [row[j] for row in block]
+                images.append(tuple(x))
+        onto = len(g.subgroup_generated(images)) == g.order
+        assert f.is_automorphism() == onto
 
 
 @pytest.mark.parametrize("desc", ["C2xC2", "C4xC2", "C9", "C2xC9"])

@@ -1,11 +1,12 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
 
 from centralq.abelian import cyclic_group, parse_group
 from centralq.counting import classify_representatives
-from centralq.endo import aut_group, identity, scalar_endo
+from centralq.endo import aut_group, identity, one_minus, scalar_endo
 from centralq.quasigroup import (
     AffineTriple,
     CayleyTable,
@@ -15,6 +16,8 @@ from centralq.quasigroup import (
     is_latin,
     is_medial,
 )
+
+from reference_engine import inverse_index
 
 
 def addition_table(g):
@@ -137,6 +140,34 @@ def test_is_isomorphic_affine_rejects_aut_of_another_carrier():
     assert not brute_force_isomorphic(build_quasigroup(t1), build_quasigroup(t2))
     with pytest.raises(ValueError, match="another carrier"):
         is_isomorphic_affine(t1, t2, aut_group(parse_group("C2^3")))
+
+
+@pytest.mark.parametrize("desc", ["C4xC2", "C3xC3", "C2^3", "C9xC3"])
+def test_decider_on_conjugated_translated_representatives(desc):
+    # gamma carries (phi, psi, c) to (gamma phi gamma^-1, gamma psi gamma^-1,
+    # gamma(c)), and c moves freely within its coset of U = Im(1 - phi - psi)
+    # representatives with the same maps are told apart by their constants alone
+    g = parse_group(desc)
+    A = aut_group(g)
+    reps = classify_representatives(g)
+    by_maps = {}
+    for i, t in enumerate(reps):
+        by_maps.setdefault((t.phi, t.psi), []).append(i)
+    rng = random.Random(desc)
+    for _ in range(12):
+        i, j = rng.sample(range(len(reps)), 2)
+        t = reps[i]
+        k = rng.randrange(len(A))
+        gamma, gamma_inv = A.member(k), A.member(inverse_index(A, k))
+        phi, psi = (gamma.compose(f).compose(gamma_inv) for f in (t.phi, t.psi))
+        u = rng.choice(sorted(one_minus(phi, psi).image().elements))
+        moved = AffineTriple(g, phi, psi, g.add(gamma.apply(t.c), u))
+        assert is_isomorphic_affine(t, moved, A)
+        assert is_isomorphic_affine(moved, t, A)
+        siblings = [s for s in by_maps[t.phi, t.psi] if s != i]
+        for other in [j] + siblings[:1]:
+            assert not is_isomorphic_affine(reps[other], moved, A)
+            assert not is_isomorphic_affine(reps[i], reps[other], A)
 
 
 def test_brute_force_identical_and_relabeled():
