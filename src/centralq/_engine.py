@@ -19,8 +19,11 @@ plus one subgroup join chain per member of C(f) ∩ C(h) (medial), kept as
 exact numerators over |Aut|.  When f is alone in its class of C(h),
 C(f) ∩ C(h) = C(h) and the medial term is the central one, with no
 joins.  For a central h, C(f) ∩ C(h) = C(f): enumerate_counts fills
-those terms from f's own classes once every class has run, so each C(f)
-is scanned once, by the process that counts f.  A proper centralizer
+those terms from f's own classes once every class has run.  A
+representative z in the centre of C(h) whose Aut-wide class has h's size
+has C(z) = C(h), and count_class returns its terms with h's, so each
+distinct centralizer is scanned once, by the process that counts one of
+its classes (two pool workers may race into a second).  A proper centralizer
 C(h) is worked in its own sorted member list: its generators are found
 by a local search (right multiplication by a candidate is a permutation
 of local positions, and the subgroup generated so far grows by doubling
@@ -66,6 +69,7 @@ from __future__ import annotations
 
 import contextlib
 import logging
+import mmap
 import multiprocessing
 import os
 import random
@@ -468,6 +472,12 @@ class EngineContext:
         return self.conjugacy_class_labels()
 
     @cached_property
+    def class_sizes(self) -> dict[int, int]:
+        """Aut-wide class size per conjugacy representative, representatives ascending."""
+        reps = _roots(self.class_labels)
+        return dict(zip(reps.tolist(), np.bincount(self.class_labels)[reps].tolist()))
+
+    @cached_property
     def subgroups(self) -> SubgroupRegistry:
         """The group's subgroup lattice, built once; the Aut-wide stages never read it."""
         return SubgroupRegistry(self.group)
@@ -714,7 +724,7 @@ def _centre_cosets(
 
 def _medial_fixed(
     ctx: EngineContext,
-    t_h: int,
+    ts: np.ndarray,
     fs: np.ndarray,
     ftabs: np.ndarray,
     d: np.ndarray,
@@ -722,25 +732,27 @@ def _medial_fixed(
     cols_c: np.ndarray,
     blocks: np.ndarray,
 ) -> np.ndarray:
-    """Sum of [G : S + T] over psi in C(f) ∩ C(h), S = Im(1 - f - psi), per term f.
+    """Sum of [G : S + T] over psi in C(f) ∩ C(h), S = Im(1 - f - psi), per T and term f.
 
     h is not central.  fs are the terms' representatives, with count_class's
     rows for them: ftabs their tables and d the values g - f(g) on the
-    canonical generators.  sizes are their class sizes in C(h) and t_h the
-    registry id of T = Im(h - 1).  cols_c holds C(h)'s values and blocks its
-    positions by coset of its centre Z (_centre_cosets).  f lies in C(h), so
-    Z lies in C(f) ∩ C(h), a union of cosets of Z: one _commuting call tests
-    a run of terms against the cosets' first members, and every member of a
-    surviving coset is a psi.  Each run's join rows (g - f(g) - psi(g), one
-    row per pair (f, psi), at most |C(h)| for a lone term) are spanned from
-    T together, and the coset counts are summed per term.
+    canonical generators.  sizes are their class sizes in C(h) and ts the
+    registry ids of T = Im(z - 1), one per class z that shares C(h): the
+    rows (len(ts), len(fs)) of the result.  cols_c holds C(h)'s values and
+    blocks its positions by coset of its centre Z (_centre_cosets).  f lies
+    in C(h), so Z lies in C(f) ∩ C(h), a union of cosets of Z: one
+    _commuting call tests a run of terms against the cosets' first members,
+    and every member of a surviving coset is a psi.  Each run's join rows
+    (g - f(g) - psi(g), one row per pair (f, psi), at most |C(h)| for a lone
+    term) are spanned from each T in turn, and the coset counts are summed
+    per term.
     """
     reg, gp = ctx.subgroups, ctx.gen_pos
     c_size = cols_c.shape[1]
     img = cols_c[gp]  # (rank, |C(h)|): psi(g)
     root_cols = cols_c[:, blocks[:, 0]]
     root_img = root_cols[gp].astype(np.intp)  # a take casts narrower indices on every call
-    out = np.zeros(len(fs), dtype=np.int64)
+    out = np.zeros((len(ts), len(fs)), dtype=np.int64)
     for a, b in _term_chunks(c_size // sizes, len(blocks)):
         commuting = _commuting(ftabs[a:b], gp, root_img, root_cols)
         found = np.count_nonzero(commuting, axis=1) * blocks.shape[1]
@@ -749,16 +761,16 @@ def _medial_fixed(
             raise AssertionError("the scanned centralizer disagrees with the class size")
         psi = img[:, blocks[np.nonzero(commuting)[1]].ravel()]
         dt = np.repeat(d[a:b], found, axis=0)
-        joined = (_take2(reg.sub, dt[:, i], psi[i]) for i in range(len(gp)))
-        s = reg.span(np.full(psi.shape[1], t_h, dtype=np.int32), joined)
-        vals = reg.counts[s]
+        joined = [_take2(reg.sub, dt[:, i], psi[i]) for i in range(len(gp))]
         starts = np.concatenate([[0], np.cumsum(found[:-1])])
-        out[a:b] = np.add.reduceat(vals, starts, dtype=np.int64)
+        for row, t in zip(out, ts.tolist()):
+            s = reg.span(np.full(psi.shape[1], t, dtype=np.int32), joined)
+            row[a:b] = np.add.reduceat(reg.counts[s], starts, dtype=np.int64)
     return out
 
 
-def count_class(ctx: EngineContext, h: int) -> ClassTerms:
-    """The cq and mq terms of one conjugacy representative h, by Cauchy-Frobenius.
+def count_class(ctx: EngineContext, h: int) -> list[ClassTerms]:
+    """The cq and mq terms of h and of every conjugacy representative that shares C(h).
 
     Burnside's lemma counts the orbits of C(f) on the pairs
     (psi, coset of S = Im(1 - f - psi)) as fixed points averaged over
@@ -782,12 +794,22 @@ def count_class(ctx: EngineContext, h: int) -> ClassTerms:
     No pair space is built, and only C(h) is scanned: a proper C(h) is
     handled in its own member list, and generator searches, class labels,
     centre cosets and the commuting test never touch the rest of Aut(G).
+
+    A representative z in Z whose Aut-wide class has h's size has
+    C(z) = C(h): C(h) lies in C(z), and orbit-stabilizer gives both the
+    same order.  Everything but T depends on C(h) alone, so the terms of
+    every such z come out of this call too: h's first, then the others
+    ascending.  Each is what count_class(ctx, z)[0] returns, as the
+    labels' roots are their classes' smallest positions.
     """
     n = ctx.group.order
     reg = ctx.subgroups
     tab, gp = ctx.aut.tables, ctx.gen_pos
     members, cols_c, cgens = _centralizer(ctx, h)
     c_size = len(members)
+    aut_sizes = ctx.class_sizes
+    if c_size * aut_sizes[h] != ctx.N:
+        raise AssertionError("the centralizer's order times its class size is not |Aut|")
     if cols_c is None:  # central h: C(h) is Aut, with Aut's classes
         labels = ctx.class_labels
     else:
@@ -797,45 +819,52 @@ def count_class(ctx: EngineContext, h: int) -> ClassTerms:
     if int(sizes.sum()) != c_size:
         raise AssertionError("class sizes of the centralizer do not add up to its order")
     fs = members[roots]
-
-    # T = Im(h - 1), spanned by (h - 1)g over the canonical generators g
-    t_h = int(reg.span(np.zeros(1, dtype=np.int32), _take2(reg.sub, ctx.images[h], gp)[:, None])[0])
-    kernel = int(reg.counts[t_h])  # |ker(h - 1)| = [G : T]
-    coset = reg.cidx[t_h]
-    gtabs = tab[cgens]
-    _, orbit, orbit_size = np.unique(
-        _orbit_min_labels(list(gtabs), n), return_inverse=True, return_counts=True
-    )
-    table = np.zeros((kernel, len(orbit_size)), dtype=np.int64)
-    np.add.at(table, (coset, orbit), 1)
-    weight = c_size // orbit_size[orbit]  # |C(h)| / |O_x|
     ftabs = tab[fs]
-    moved = _take2(reg.sub, np.arange(n), ftabs)  # (1 - f)x per term and x
-    fix = kernel * (_take2(table, coset[moved], orbit) * weight).sum(axis=1)
-    if (fix % n).any():
-        raise AssertionError("a fixed-point numerator is not divisible by n")
-    fix //= n
-
+    gtabs = tab[cgens]
     # f alone in its class of C(h): its medial term is its fixed term, once
     # f is checked to commute with C(h)'s generators
     single = sizes == 1
     if not _commuting(ftabs[single], gp, gtabs[:, gp].T, gtabs.T).all():
         raise AssertionError("the scanned centralizer disagrees with the class size")
+    # the representatives that share C(h): in its centre, with h's class size
+    zs = [h] + [z for z in fs[single].tolist() if z != h and aut_sizes.get(z) == aut_sizes[h]]
+
+    # T = Im(z - 1), spanned by (z - 1)g over the canonical generators g
+    ts = reg.span(np.zeros(len(zs), dtype=np.int32), _take2(reg.sub, ctx.images[zs], gp).T)
+    _, orbit, orbit_size = np.unique(
+        _orbit_min_labels(list(gtabs), n), return_inverse=True, return_counts=True
+    )
+    weight = c_size // orbit_size[orbit]  # |C(h)| / |O_x|
+    moved = _take2(reg.sub, np.arange(n), ftabs)  # (1 - f)x per term and x
+    fix = np.empty((len(zs), len(fs)), dtype=np.int64)
+    for row, t in zip(fix, ts.tolist()):
+        kernel = int(reg.counts[t])  # |ker(z - 1)| = [G : T]
+        coset = reg.cidx[t]
+        table = np.zeros((kernel, len(orbit_size)), dtype=np.int64)
+        np.add.at(table, (coset, orbit), 1)
+        row[:] = kernel * (_take2(table, coset[moved], orbit) * weight).sum(axis=1)
+    if (fix % n).any():
+        raise AssertionError("a fixed-point numerator is not divisible by n")
+    fix //= n
+
     medial_fixed = fix.copy()
     rest = ~single
     if cols_c is not None and rest.any():
         blocks = _centre_cosets(ctx, h, members, cols_c, roots[single])
-        medial_fixed[rest] = _medial_fixed(
-            ctx, t_h, fs[rest], ftabs[rest], moved[:, gp][rest], sizes[rest], cols_c, blocks
+        medial_fixed[:, rest] = _medial_fixed(
+            ctx, ts, fs[rest], ftabs[rest], moved[:, gp][rest], sizes[rest], cols_c, blocks
         )
-    return ClassTerms(
-        rep=h,
-        centralizer_order=c_size,
-        reps=fs.tolist(),
-        class_sizes=sizes.tolist(),
-        fixed=fix.tolist(),
-        medial_fixed=medial_fixed.tolist(),
-    )
+    return [
+        ClassTerms(
+            rep=z,
+            centralizer_order=c_size,
+            reps=fs.tolist(),
+            class_sizes=sizes.tolist(),
+            fixed=fx.tolist(),
+            medial_fixed=md.tolist(),
+        )
+        for z, fx, md in zip(zs, fix, medial_fixed)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -844,6 +873,11 @@ def count_class(ctx: EngineContext, h: int) -> ClassTerms:
 # the enumeration in progress; forked pool workers inherit it
 _WORKER_CTX: EngineContext | None = None
 _WORKER_COLLECT = False
+# one byte per class in an anonymous shared map, which forked workers write
+# to as well: set once some process has returned the class's result.
+# _WORKER_SLOTS gives each representative's byte
+_WORKER_DONE: mmap.mmap | None = None
+_WORKER_SLOTS: dict[int, int] = {}
 
 
 def _usable_cpus() -> int:
@@ -853,10 +887,14 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _run_class(f: int) -> ClassResult | ClassTerms:
-    if _WORKER_COLLECT:
-        return process_class(_WORKER_CTX, f)
-    return count_class(_WORKER_CTX, f)
+def _run_class(f: int) -> list[ClassResult] | list[ClassTerms]:
+    """f's result and its siblings' (count_class), or [] if they came with another class."""
+    if _WORKER_DONE[_WORKER_SLOTS[f]]:
+        return []
+    out = [process_class(_WORKER_CTX, f)] if _WORKER_COLLECT else count_class(_WORKER_CTX, f)
+    for res in out:
+        _WORKER_DONE[_WORKER_SLOTS[res.rep]] = 1
+    return out
 
 
 @dataclass
@@ -902,7 +940,12 @@ def enumerate_counts(
 ) -> GroupCounts:
     """All six counts of one group, summed over its conjugacy representatives.
 
-    Each representative runs count_class; with collect=True it runs the
+    Each representative runs count_class, which also returns the terms of
+    every representative that shares its centralizer: those classes are
+    flagged in bytes the pool's workers share, and a worker that draws one
+    skips it.  Two workers can still compute one centralizer at once; the
+    parent keeps the first result per representative and checks that any
+    other equals it.  With collect=True each representative runs the
     pair-space route, process_class, which also returns one triple per
     isomorphism class.  Either result gives cq and mq as numerators over
     |Aut|, and the sums must divide by it.
@@ -913,7 +956,7 @@ def enumerate_counts(
     # copy.  The lattice goes first: built after the labels or the tables,
     # its temporaries raised the peak RSS of the benchmark's rows
     subgroups = len(ctx.subgroups)
-    class_reps = _roots(ctx.class_labels).tolist()
+    class_reps = list(ctx.class_sizes)
     tables_mb = aut.tables.nbytes / 1e6
     # a fork pool starts all its workers at once: at most one per class and CPU
     workers = max(1, min(jobs, len(class_reps), _usable_cpus())) if hasattr(os, "fork") else 1
@@ -928,31 +971,43 @@ def enumerate_counts(
         "" if workers == 1 else "s",
     )
 
-    global _WORKER_CTX, _WORKER_COLLECT
+    global _WORKER_CTX, _WORKER_COLLECT, _WORKER_DONE, _WORKER_SLOTS
     _WORKER_CTX = ctx
     _WORKER_COLLECT = collect
-    results = []
+    _WORKER_SLOTS = {f: i for i, f in enumerate(class_reps)}
+    done: dict[int, ClassResult | ClassTerms] = {}
+    centralizers = 0  # non-empty lists received: a pool race counts one centralizer twice
     cq_num = 0
     try:
         with contextlib.ExitStack() as stack:
+            _WORKER_DONE = stack.enter_context(mmap.mmap(-1, len(class_reps)))
             mapped = map(_run_class, class_reps)
             if workers > 1:
                 mp = multiprocessing.get_context("fork")
                 ex = stack.enter_context(ProcessPoolExecutor(max_workers=workers, mp_context=mp))
                 mapped = ex.map(_run_class, class_reps, chunksize=1)
-            for res in mapped:
-                results.append(res)
-                cq_num += res.numerators(ctx.N)[0]
-                log.debug(
-                    "%s: class %d/%d done (cq so far %d)",
-                    group.descriptor,
-                    len(results),
-                    len(class_reps),
-                    cq_num // ctx.N,
-                )
+            for batch in mapped:
+                centralizers += bool(batch)
+                for res in batch:
+                    if res.rep in done:
+                        if res != done[res.rep]:
+                            raise AssertionError("two results for one class disagree")
+                        continue
+                    done[res.rep] = res
+                    cq_num += res.numerators(ctx.N)[0]
+                    log.debug(
+                        "%s: class %d/%d done (cq so far %d)",
+                        group.descriptor,
+                        len(done),
+                        len(class_reps),
+                        cq_num // ctx.N,
+                    )
     finally:
-        _WORKER_CTX = None
+        _WORKER_CTX = _WORKER_DONE = None
         _WORKER_COLLECT = False
+        _WORKER_SLOTS = {}
+    results = [done[f] for f in class_reps]
+    log.info("%s: %d classes from %d centralizers", group.descriptor, len(results), centralizers)
 
     pair_orbits = sum(r.pair_orbits for r in results)
     # Burnside: Aut(G) acting on pairs by simultaneous conjugation has

@@ -17,6 +17,7 @@ coprime direct factors).
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import tempfile
@@ -366,11 +367,12 @@ def classify_representatives(
 
     aut = aut_group(group, budget=budget)
     counts = _engine.enumerate_counts(group, aut, jobs=jobs, collect=True)
+    member = functools.cache(aut.member)  # one Endomorphism per member index
     triples, medial = [], 0
     for res in counts.class_results:
-        phi = aut.member(res.rep)
+        phi = member(res.rep)
         for m, r, md in res.triples:
-            triples.append(AffineTriple(group, phi, aut.member(m), group.element_at(r)))
+            triples.append(AffineTriple(group, phi, member(m), group.element_at(r)))
             medial += md
     counted = _engine.enumerate_counts(group, aut, jobs=jobs)
     if (len(triples), medial) != (counted.cq, counted.mq):

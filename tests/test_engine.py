@@ -1,5 +1,6 @@
 """The engine's subgroups, cosets, orbit labels and class counts against oracles."""
 
+import collections
 import dataclasses
 import hashlib
 import itertools
@@ -299,7 +300,7 @@ def _noncentral_rep(desc):
     A = aut_group(g)
     ctx = EngineContext(g, A)
     for h in conjugacy_class_reps(A).representatives:
-        res = count_class(ctx, h)
+        res = count_class(ctx, h)[0]
         c = res.centralizer_order
         if c not in (len(A), g.order) and len(res.reps) < c:
             return ctx, h
@@ -393,7 +394,7 @@ def test_medial_commuting_test_runs_once_per_centre_coset(monkeypatch):
     for h in conjugacy_class_reps(A).representatives:
         c_size = len(ctx.centralizer_members(h))
         widths.clear()
-        res = count_class(ctx, h)
+        res = count_class(ctx, h)[0]
         centre = res.class_sizes.count(1)
         if c_size == len(A) or centre == len(res.reps):
             continue
@@ -462,15 +463,16 @@ def test_group_totals_must_divide_by_the_group_order(monkeypatch):
     perturbed = []
 
     def one_more(ctx, h):
-        res = real(ctx, h)
+        out = real(ctx, h)
+        res = out[0]
         if perturbed or res.centralizer_order == len(A):
-            return res
+            return out
         perturbed.append(h)
         # a proper class's singleton term: one more fixed point adds
         # |Aut| / |C(h)| to the numerator, which is not a multiple of |Aut|
         i = res.class_sizes.index(1)
         fixed = res.fixed[:i] + [res.fixed[i] + 1] + res.fixed[i + 1 :]
-        return dataclasses.replace(res, fixed=fixed)
+        return [dataclasses.replace(res, fixed=fixed)] + out[1:]
 
     monkeypatch.setattr(_engine, "count_class", one_more)
     with pytest.raises(AssertionError, match=r"whole counts over \|Aut\|"):
@@ -484,24 +486,35 @@ def test_central_medial_terms_must_match_their_fixed_terms(monkeypatch):
     A = aut_group(g)
 
     def one_more(ctx, h):
-        res = real(ctx, h)
+        out = real(ctx, h)
         if h != A.identity_index:
-            return res
+            return out
         # f alone in its class of a central h: the term filled from C(f)'s
         # classes must come back to the fixed term
+        res = out[0]
         i = res.class_sizes.index(1)
         fixed = res.fixed[:i] + [res.fixed[i] + 1] + res.fixed[i + 1 :]
-        return dataclasses.replace(res, fixed=fixed)
+        return [dataclasses.replace(res, fixed=fixed)] + out[1:]
 
     monkeypatch.setattr(_engine, "count_class", one_more)
     with pytest.raises(AssertionError, match="a central medial term disagrees with its fixed term"):
         enumerate_counts(g, A)
 
 
+def _shared_centralizers(A):
+    """The conjugacy representatives grouped by their centralizer, by plain scans."""
+    groups = {}
+    for h in conjugacy_class_reps(A).representatives:
+        groups.setdefault(centralizer_indices(A, h).tobytes(), []).append(h)
+    return list(groups.values())
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_each_centralizer_is_scanned_once_per_enumeration(monkeypatch, tmp_path, jobs):
     g = parse_group("C3xC3")
     A = aut_group(g)
+    shared = _shared_centralizers(A)
+    assert (sum(map(len, shared)), len(shared)) == (8, 5)
     scans = tmp_path / "scans"
     real = EngineContext.centralizer_mask
 
@@ -515,11 +528,108 @@ def test_each_centralizer_is_scanned_once_per_enumeration(monkeypatch, tmp_path,
     monkeypatch.setattr(_engine, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(EngineContext, "centralizer_mask", spy)
     counts = enumerate_counts(g, A, jobs=jobs)
+    assert [r.rep for r in counts.class_results] == sorted(sum(shared, []))
     rows = [line.split() for line in scans.read_text().splitlines()]
-    assert sorted(int(f) for _, f in rows) == sorted(r.rep for r in counts.class_results)
+    scanned = [int(f) for _, f in rows]
+    # no representative twice, and every distinct centralizer; in one
+    # process, one scan per centralizer (the pool may race into a second)
+    assert len(set(scanned)) == len(scanned)
+    assert all(set(scanned) & set(reps) for reps in shared)
+    if jobs == 1:
+        assert len(scanned) == len(shared)
     pids = {int(pid) for pid, _ in rows}
     assert len(pids) == jobs
     assert (os.getpid() in pids) == (jobs == 1)
+
+
+@pytest.mark.parametrize("desc", ["C3xC3", "C11xC11", "C9xC3xC3", "C8xC2^3", "C4xC4xC2xC2"])
+def test_count_class_returns_the_classes_that_share_the_centralizer(desc):
+    A = aut_group(parse_group(desc))
+    ctx = EngineContext(A.group, A)
+    shared = _shared_centralizers(A)
+    terms = {h: count_class(ctx, h) for reps in shared for h in reps}
+    for reps in shared:
+        for h in reps:
+            assert terms[h][0].rep == h
+            assert sorted(t.rep for t in terms[h]) == reps, h
+            # a sibling's terms are the ones its own call gives
+            assert all(t == terms[t.rep][0] for t in terms[h]), h
+    if desc == "C11xC11":
+        assert (len(terms), len(shared)) == (120, 22)
+
+
+@pytest.mark.parametrize("central", [True, False])
+def test_centralizer_order_times_class_size_must_be_the_group_order(monkeypatch, central):
+    g = parse_group("C3xC3")
+    A = aut_group(g)
+    ctx = EngineContext(g, A)
+    h = next(r for r in ctx.class_sizes if (ctx.class_sizes[r] == 1) == central)
+    count_class(ctx, h)
+    wrong = {r: k + 1 for r, k in ctx.class_sizes.items()}
+    monkeypatch.setitem(vars(ctx), "class_sizes", wrong)
+    with pytest.raises(AssertionError, match="centralizer's order times its class size"):
+        count_class(ctx, h)
+
+
+def test_duplicate_results_must_agree(monkeypatch):
+    real = _engine.count_class
+    g = parse_group("C3xC3")
+    A = aut_group(g)
+
+    def disagreeing(ctx, h):
+        out = real(ctx, h)
+        fixed = [x + 1 for x in out[0].fixed]
+        return out + [dataclasses.replace(out[0], fixed=fixed)]
+
+    monkeypatch.setattr(_engine, "count_class", disagreeing)
+    with pytest.raises(AssertionError, match="two results for one class disagree"):
+        enumerate_counts(g, A)
+
+
+class _Forgetful(bytearray):
+    """Stands in for the shared flag bytes: every write is lost, as in a pool race."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def __setitem__(self, i, value):
+        pass
+
+
+def test_classes_computed_twice_change_nothing(monkeypatch, caplog):
+    g = parse_group("C11xC11")
+    A = aut_group(g)
+    serial = enumerate_counts(g, A)
+    monkeypatch.setattr(_engine.mmap, "mmap", lambda fileno, length: _Forgetful(length))
+    caplog.set_level(logging.INFO, logger=_engine.__name__)
+    raced = enumerate_counts(g, A)
+    # every class is computed with its siblings, and the parent keeps one of each
+    assert raced == serial
+    assert "C11xC11: 120 classes from 120 centralizers" in caplog.messages
+
+
+def test_more_workers_than_cores_return_the_serial_terms(monkeypatch):
+    # four workers on the shared flags: a lost flag costs a duplicate, never a term
+    g = parse_group("C11xC11")
+    A = aut_group(g)
+    serial = enumerate_counts(g, A)
+    monkeypatch.setattr(_engine, "_usable_cpus", lambda: 4)
+    assert enumerate_counts(g, A, jobs=4) == serial
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_enumeration_logs_the_centralizers_computed(monkeypatch, caplog, jobs):
+    g = parse_group("C11xC11")
+    monkeypatch.setattr(_engine, "_usable_cpus", lambda: 2)
+    caplog.set_level(logging.INFO, logger=_engine.__name__)
+    enumerate_counts(g, aut_group(g), jobs=jobs)
+    [line] = [r.getMessage() for r in caplog.records if " centralizers" in r.msg]
+    desc, classes, _, _, centralizers, _ = line.split()
+    assert (desc, classes) == ("C11xC11:", "120")
+    assert int(centralizers) == 22 if jobs == 1 else int(centralizers) >= 22
 
 
 def _triples(desc, jobs=1):
@@ -540,6 +650,22 @@ def test_classification_is_unchanged():
     ]
     digest = hashlib.md5(repr(_triples("C3xC3")).encode()).hexdigest()
     assert digest == "95236a84fc82367b2508f56fe7f34300"
+
+
+def test_classification_builds_each_member_once(monkeypatch):
+    from centralq.endo import AutGroup
+
+    calls = collections.Counter()
+    real = AutGroup.member
+
+    def spy(self, i):
+        calls[int(i)] += 1
+        return real(self, i)
+
+    monkeypatch.setattr(AutGroup, "member", spy)
+    digest = hashlib.md5(repr(_triples("C3xC3")).encode()).hexdigest()
+    assert digest == "95236a84fc82367b2508f56fe7f34300"
+    assert calls and set(calls.values()) == {1}
 
 
 def test_classification_through_the_pool_is_unchanged(monkeypatch):
@@ -617,8 +743,8 @@ def test_burnside_identity_is_checked(monkeypatch):
     real = _engine.count_class
 
     def off_by_one(ctx, h):
-        res = real(ctx, h)
-        return dataclasses.replace(res, centralizer_order=res.centralizer_order + 1)
+        res, *siblings = real(ctx, h)
+        return [dataclasses.replace(res, centralizer_order=res.centralizer_order + 1)] + siblings
 
     g = parse_group("C2xC2")
     counts = enumerate_counts(g, aut_group(g))
