@@ -153,7 +153,7 @@ class AbelianGroup:
 
     def index_of(self, a: GroupElement) -> int:
         self._check(a)
-        return sum(x * s for x, s in zip(a, self._strides))
+        return sum(x % m * s for x, m, s in zip(a, self.moduli, self._strides))
 
     def element_at(self, i: int) -> GroupElement:
         if not 0 <= i < self.order:
@@ -278,7 +278,7 @@ class Subgroup:
         return len(self.elements)
 
     def __contains__(self, a):
-        return tuple(a) in self.elements
+        return self.group.reduce(a) in self.elements
 
     def __eq__(self, other):
         return (

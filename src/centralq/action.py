@@ -41,13 +41,7 @@ def _as_index(A: AutGroup, f) -> int:
 def conjugacy_class_reps(A: AutGroup) -> OrbitPartition:
     """Partition of A into conjugacy classes (points are member indices)."""
     ctx = EngineContext(A.group, A)
-    labels = ctx.conjugacy_class_labels()
-    reps = _roots(labels)
-    sizes = {}
-    counts = np.bincount(labels, minlength=len(A))
-    for r in reps:
-        sizes[int(r)] = int(counts[r])
-    return OrbitPartition([int(r) for r in reps], labels, sizes)
+    return OrbitPartition(list(ctx.class_sizes), ctx.class_labels, ctx.class_sizes)
 
 
 def centralizer(A: AutGroup, f) -> list[Endomorphism]:

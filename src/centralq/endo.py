@@ -1,13 +1,13 @@
 """Endomorphisms and automorphism groups of finite abelian groups.
 
-An endomorphism is stored as one integer matrix per prime component
-(column j describes the image of the j-th generator of that component;
-maps between components of different primes are always zero) and is
-evaluated through its cached action table.  The full automorphism group
-is held as an array of generator images, one row of rank element
-indices per automorphism, which keeps group-sized orbit
-computations cheap: a member's value at any element is a sum of scalar
-multiples of its images.  The action tables, the value of every
+An endomorphism is stored as its generator images, the element index of
+each canonical generator's image, and is evaluated through its cached
+action table; one integer matrix per prime component is only its input
+and output form.  The full automorphism group is held the same way, as
+an array of generator images with one row of rank element indices per
+automorphism, which keeps group-sized orbit computations cheap: a
+member's value at any element is a sum of scalar multiples of its
+images.  The action tables, the value of every
 automorphism at every element, are evaluated from the images only when
 per-class work first reads them, and are stored element-major like the
 images: one contiguous row of member values per element.
@@ -37,7 +37,8 @@ from __future__ import annotations
 
 import random
 from collections.abc import Sequence
-from functools import cached_property
+from functools import cache, cached_property
+from math import prod
 
 import numpy as np
 
@@ -60,63 +61,77 @@ class ResourceLimitError(RuntimeError):
 
 
 class Endomorphism:
-    """A homomorphism of a group into itself, as one matrix per prime.
+    """A homomorphism of a group into itself, held as its generator images.
 
-    Entry m[i][j] of the block for prime p is the coefficient of generator
-    i in the image of generator j, reduced modulo the order p^{e_i} of the
-    target factor; validity requires p^{max(0, e_i - e_j)} to divide
-    m[i][j] so that generator images have legal orders.
+    `images[j]` is the element index of the image of canonical generator
+    j: the same row an `AutGroup` member has.  Every construction checks
+    the images against the one legality rule, `_image_codes`, and the map
+    is evaluated through its action table (`_table_of_images`, cached):
+    `apply`, `image` and `is_automorphism` read it, and `compose` and
+    `one_minus` compute only the derived map's generator images.
 
-    The blocks are the constructor's input and `block_lists()`'s output
-    only.  The map is evaluated through its action table alone (one
-    coordinate product per prime, cached): `apply`, `image`,
-    `is_automorphism`, `compose` and `one_minus` all read tables, and a
-    derived map is read back from its table at the canonical generators.
+    Block matrices are input and output only.  Entry m[i][j] of the block
+    for prime p is the coefficient of generator i in the image of generator
+    j, reduced modulo the order p^{e_i} of the target factor; the
+    constructor takes them, and `blocks` (cached) and `block_lists()` give
+    them back.
     """
 
-    __slots__ = ("group", "blocks", "_table", "_hash")
+    __slots__ = ("group", "images", "_table", "_blocks")
 
     def __init__(self, group: AbelianGroup, blocks):
-        self.group = group
         spans = group.prime_spans
         if len(blocks) != len(spans):
             raise ValueError(f"expected {len(spans)} prime blocks, got {len(blocks)}")
-        norm = []
+        images = [0] * group.rank
         for (p, i0, i1), mat in zip(spans, blocks):
             k = i1 - i0
-            exps = [e for _, e in group.factors[i0:i1]]
             if len(mat) != k or any(len(row) != k for row in mat):
                 raise ValueError(f"block for prime {p} must be {k}x{k}")
-            rows = []
-            for i in range(k):
-                row = []
-                for j in range(k):
-                    v = int(mat[i][j]) % p ** exps[i]
-                    need = p ** max(0, exps[i] - exps[j])
-                    if v % need:
-                        raise ValueError(
-                            f"entry [{i}][{j}]={v} for prime {p} must be divisible "
-                            f"by {need} to give generator images of legal order"
-                        )
-                    row.append(v)
-                rows.append(tuple(row))
-            norm.append(tuple(rows))
-        self.blocks = tuple(norm)
-        self._table = None
-        self._hash = hash((group, self.blocks))
+            for j in range(k):  # column j: the image of generator i0 + j
+                x = [0] * group.rank
+                x[i0:i1] = [int(row[j]) for row in mat]
+                images[i0 + j] = group.index_of(x)
+        self._set(group, images)
+
+    def _set(self, group: AbelianGroup, images) -> None:
+        """Hold these generator images (element indices), refusing an illegal one."""
+        images = tuple(int(v) for v in images)
+        if len(images) != group.rank:
+            raise ValueError(f"expected {group.rank} generator images")
+        codes, space = _image_codes(group)
+        for j, v in enumerate(images):
+            if codes[j, v] >= space:
+                raise ValueError(
+                    f"generator {j} cannot map to {group.element_at(v)!r}: coordinate i of "
+                    f"its image must be divisible by p^max(0, e_i - e_{j}), and 0 across "
+                    f"prime components"
+                )
+        self.group, self.images, self._table, self._blocks = group, images, None, None
 
     def __eq__(self, other):
         return (
             isinstance(other, Endomorphism)
             and self.group == other.group
-            and self.blocks == other.blocks
+            and self.images == other.images
         )
 
     def __hash__(self):
-        return self._hash
+        return hash((self.group, self.images))
 
     def __repr__(self):
         return f"Endomorphism({self.group.descriptor}, {self.block_lists()!r})"
+
+    @property
+    def blocks(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """One matrix per prime, read off the images on first use."""
+        if self._blocks is None:
+            cols = self.group.coords_array[list(self.images)].tolist()  # cols[j]: image of j
+            self._blocks = tuple(
+                tuple(tuple(cols[j][i] for j in range(i0, i1)) for i in range(i0, i1))
+                for _, i0, i1 in self.group.prime_spans
+            )
+        return self._blocks
 
     def block_lists(self) -> list[list[list[int]]]:
         """Blocks as nested lists (the JSON debug form)."""
@@ -124,13 +139,13 @@ class Endomorphism:
 
     def apply(self, x: GroupElement) -> GroupElement:
         g = self.group
-        return g.element_at(int(self.table[g.index_of(g.reduce(x))]))
+        return g.element_at(int(self.table[g.index_of(x)]))
 
     def compose(self, other: "Endomorphism") -> "Endomorphism":
         """self after other: apply(compose(f, g), x) == f(g(x))."""
         if self.group != other.group:
             raise ValueError("endomorphisms live on different groups")
-        return _from_table(self.group, self.table[other.table])
+        return _of_images(self.group, self.table[list(other.images)])
 
     def __mul__(self, other):
         return self.compose(other)
@@ -139,13 +154,7 @@ class Endomorphism:
     def table(self) -> np.ndarray:
         """Action on element indices: table[i] = index_of(f(element_at(i)))."""
         if self._table is None:
-            g = self.group
-            coords = g.coords_array
-            out = np.zeros_like(coords)
-            for (p, i0, i1), mat in zip(g.prime_spans, self.blocks):
-                m = np.asarray(mat, dtype=np.int64)
-                out[:, i0:i1] = coords[:, i0:i1] @ m.T
-            self._table = g.pack_coords(out).astype(g.index_dtype)
+            self._table = _table_of_images(self.group, list(self.images))
             self._table.setflags(write=False)
         return self._table
 
@@ -158,9 +167,11 @@ class Endomorphism:
         return len(np.unique(self.table)) == self.group.order
 
 
-def _from_table(group: AbelianGroup, table: np.ndarray) -> Endomorphism:
-    """The endomorphism with this action table, read at the canonical generators."""
-    return endo_from_gen_images(group, [group.element_at(int(table[s])) for s in group._strides])
+def _of_images(group: AbelianGroup, images) -> Endomorphism:
+    """The endomorphism with these generator images (element indices)."""
+    f = Endomorphism.__new__(Endomorphism)
+    f._set(group, images)
+    return f
 
 
 def identity(group: AbelianGroup) -> Endomorphism:
@@ -169,43 +180,21 @@ def identity(group: AbelianGroup) -> Endomorphism:
 
 def scalar_endo(group: AbelianGroup, c: int) -> Endomorphism:
     """Multiplication by the integer c."""
-    blocks = []
-    for p, i0, i1 in group.prime_spans:
-        k = i1 - i0
-        blocks.append([[c if i == j else 0 for j in range(k)] for i in range(k)])
-    return Endomorphism(group, blocks)
+    return _of_images(group, [c % m * s for m, s in zip(group.moduli, group._strides)])
 
 
 def one_minus(f: Endomorphism, g: Endomorphism) -> Endomorphism:
-    """The endomorphism x -> x - f(x) - g(x), from the two maps' tables."""
+    """The endomorphism x -> x - f(x) - g(x), read at the canonical generators."""
     if f.group != g.group:
         raise ValueError("endomorphisms live on different groups")
-    sub = f.group.sub_table
-    return _from_table(f.group, sub[sub[np.arange(f.group.order), f.table], g.table])
+    gp = f.group
+    sub = gp.sub_table
+    return _of_images(gp, sub[sub[list(gp._strides), list(f.images)], list(g.images)])
 
 
 def endo_from_gen_images(group: AbelianGroup, images: Sequence[GroupElement]) -> Endomorphism:
     """Build an endomorphism from the images of the canonical generators."""
-    k = len(group.factors)
-    if len(images) != k:
-        raise ValueError(f"expected {k} generator images")
-    blocks = []
-    for p, i0, i1 in group.prime_spans:
-        mat = []
-        for i in range(i0, i1):
-            row = []
-            for j in range(i0, i1):
-                row.append(images[j][i])
-            mat.append(row)
-        blocks.append(mat)
-        # a p-component generator must map into the p-component
-        for j in range(i0, i1):
-            for i in range(k):
-                if not i0 <= i < i1 and images[j][i]:
-                    raise ValueError(
-                        f"generator {j} maps across prime components (image {images[j]!r})"
-                    )
-    return Endomorphism(group, blocks)
+    return _of_images(group, [group.index_of(x) for x in images])
 
 
 # ---------------------------------------------------------------------------
@@ -239,21 +228,26 @@ def aut_group_order(group: AbelianGroup) -> int:
 # automorphism group construction
 
 
+@cache
 def _image_codes(group: AbelianGroup) -> tuple[np.ndarray, int]:
     """Per-generator digit tables for the dense member key, and the key space.
 
-    Generator i can only map to elements whose coordinate j is a multiple of
-    p^max(0, e_j - e_i) modulo p^e_j (and 0 across primes), so its image is
-    one of prod_j p^min(e_i, e_j) legal values.  codes[i, v] is generator
-    i's share of the key when its image has element index v.  Generator 0 is
-    least significant and, within a generator, the last coordinate is, so
-    keys order members like their generator images do in element-index
-    order.  An illegal image gets the code `space`, which pushes any key
-    containing it out of range.
+    This is the one rule for legal generator images: generator i can only
+    map to elements whose coordinate j is a multiple of p^max(0, e_j - e_i)
+    modulo p^e_j (and 0 across primes), so its image is one of
+    prod_j p^min(e_i, e_j) legal values.  codes[i, v] is generator i's share
+    of the key when its image has element index v.  Generator 0 is least
+    significant and, within a generator, the last coordinate is, so keys
+    order members like their generator images do in element-index order.
+    An illegal image gets the code `space`, which pushes any key containing
+    it out of range.  Cached per group and read-only.
     """
     k = group.rank
-    coords = group.coords_array
-    codes = np.zeros((k, group.order), dtype=np.int64)
+    fs = group.factors
+    space = prod(p ** min(ei, ej) for p, ei in fs for q, ej in fs if q == p)
+    # past int64 (C2^8 and up, far over any Aut budget) the codes only decide legality
+    coords = group.coords_array.astype(np.int64 if space < 2**63 else object)
+    codes = np.zeros((k, group.order), dtype=coords.dtype)
     legal = np.ones((k, group.order), dtype=bool)
     weight = 1
     for i, (p, ei) in enumerate(group.factors):
@@ -268,6 +262,7 @@ def _image_codes(group: AbelianGroup) -> tuple[np.ndarray, int]:
             codes[i] += c // step * weight
             weight *= p ** min(ei, ej)
     codes[~legal] = weight
+    codes.setflags(write=False)
     return codes, weight
 
 
@@ -293,8 +288,9 @@ _MAX_DRAWS = 64
 def _table_of_images(gp: AbelianGroup, images) -> np.ndarray:
     """Table of the endomorphism with these legal generator images (element indices).
 
-    Row i of its matrix is image i's coordinates, so the table is the
-    coordinate product of Endomorphism.table, over all primes at once:
+    The one kernel for a single map's table (`Endomorphism.table`,
+    `AutGroup.member_table`, the random draws): x's value is the sum of x_j
+    times image j, one coordinate product over all primes at once, since
     legal images are zero across primes.
     """
     coords = gp.coords_array
@@ -421,7 +417,7 @@ class AutGroup:
         if not np.array_equal(self.index[keys], np.arange(len(images))):
             raise AssertionError("duplicate members in automorphism group")
         self.index.setflags(write=False)
-        self.identity_index = self.index_of_table(identity(group).table)
+        self.identity_index = self._index_of_images(self.gen_pos)
         self.gens = self.lookup_images(gen_images).tolist() or [self.identity_index]
 
     def __len__(self):
@@ -522,16 +518,19 @@ class AutGroup:
             raise KeyError("some rows are not members of this automorphism group")
         return out.astype(np.int64)
 
-    def index_of_table(self, table: np.ndarray) -> int:
+    def _index_of_images(self, images) -> int:
         try:
-            return int(self.lookup_images(table[None, self.gen_pos])[0])
+            return int(self.lookup_images(np.array([images], dtype=np.int64))[0])
         except KeyError:
             raise KeyError("not a member of this automorphism group") from None
+
+    def index_of_table(self, table: np.ndarray) -> int:
+        return self._index_of_images(table[self.gen_pos])
 
     def index_of(self, f: Endomorphism) -> int:
         if f.group != self.group:
             raise KeyError("endomorphism of a different group")
-        return self.index_of_table(f.table)
+        return self._index_of_images(f.images)
 
     def __contains__(self, f):
         try:
@@ -541,9 +540,8 @@ class AutGroup:
             return False
 
     def member(self, i: int) -> Endomorphism:
-        g = self.group
-        images = [g.element_at(int(v)) for v in self.images[int(i)]]
-        return endo_from_gen_images(g, images)
+        """Member i as an Endomorphism: a copy of its row of generator images."""
+        return _of_images(self.group, self.images[int(i)])
 
     @cached_property
     def members(self) -> "_MemberSeq":

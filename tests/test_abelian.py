@@ -157,6 +157,15 @@ def test_subgroup_generated():
     assert len(g.subgroup_generated([])) == 1
 
 
+def test_unreduced_coordinates_name_their_reduced_element():
+    g = parse_group("C4xC2")
+    assert g.index_of((1, 3)) == g.index_of((1, 1)) == 3
+    assert g.index_of((-1, 2)) == g.index_of((3, 0))
+    assert g.subgroup_generated([(1, 3)]) == g.subgroup_generated([(1, 1)])
+    assert (5, 1) in g.subgroup_generated([(1, 1)])
+    assert (1, 0) not in g.subgroup_generated([(1, 1)])
+
+
 def test_parse_group():
     assert parse_group("c4 X c2").descriptor == "C4xC2"
     assert parse_group("C2^5").descriptor == "C2xC2xC2xC2xC2"

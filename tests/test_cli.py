@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import shutil
@@ -253,6 +254,21 @@ def test_reps_klein_counts(capsys):
     payload = json.loads(out)
     assert len(payload) == 15
     assert sum(rec["medial"] for rec in payload) == 9
+
+
+@pytest.mark.parametrize(
+    "desc,digest",
+    [
+        ("C2xC2", "c2cddc757c983cc445b7671693a912c5"),
+        ("C3xC3", "e989734a120dbfe46d0c38fc1e7c99c2"),
+        ("C4xC2xC3", "1c822a777186e8f7a81640e22e7b62cc"),  # two primes
+    ],
+)
+def test_reps_output_bytes_are_pinned(capsys, desc, digest):
+    # the printed matrices are read off each member's generator images
+    code, out, _ = run(capsys, "reps", "--group", desc, "--no-cache")
+    assert code == EXIT_OK
+    assert hashlib.md5(out.encode()).hexdigest() == digest
 
 
 def test_reps_emit_tables(capsys, tmp_path):

@@ -245,6 +245,49 @@ def test_endo_from_gen_images_rejects_cross_prime():
     assert f.apply((1, 1)) == (1, 2)
 
 
+@pytest.mark.parametrize(
+    "desc,count", [("C4xC2", 32), ("C2xC3", 6), ("C9xC3", 243), ("C4xC2xC3", 96)]
+)
+def test_image_legality_matches_the_block_rule(desc, count):
+    # _image_codes alone decides which generator images are legal;
+    # all_endomorphisms encodes the blocks' per-entry divisibility apart from it
+    g = parse_group(desc)
+    accepted = []
+    for images in itertools.product(g.elements(), repeat=g.rank):
+        try:
+            accepted.append(endo_from_gen_images(g, images))
+        except ValueError:
+            pass
+    assert len(accepted) == count
+    assert set(accepted) == set(all_endomorphisms(g))
+    assert all(Endomorphism(g, f.blocks) == f for f in accepted)
+
+
+def test_image_codes_are_cached_and_read_only():
+    g = parse_group("C4xC2xC3")
+    codes, space = endo_mod._image_codes(g)
+    assert endo_mod._image_codes(parse_group("C4xC2xC3"))[0] is codes
+    assert not codes.flags.writeable and space == 32 * 3
+
+
+def test_legality_past_an_int64_key_space():
+    # C2^8 has 2^64 legal matrices: no Aut(G) is built, but maps still are
+    g = parse_group("C2^8")
+    assert scalar_endo(g, 3) == identity(g)
+    assert identity(g).blocks == (tuple(tuple(int(i == j) for j in range(8)) for i in range(8)),)
+    with pytest.raises(ValueError, match="across prime"):
+        endo_from_gen_images(parse_group("C2^8xC3"), [(0,) * 8 + (1,)] * 9)
+
+
+@pytest.mark.parametrize("desc", ["C4xC2xC3", "C3^3"])
+def test_members_are_copies_of_their_image_rows(desc):
+    A = aut_group(parse_group(desc))
+    for i in range(len(A)):
+        f = A.member(i)
+        assert A.index_of(f) == i
+        assert f.images == tuple(A.images[i])
+
+
 def test_trivial_group_aut():
     A = aut_group(trivial_group())
     assert len(A) == 1
