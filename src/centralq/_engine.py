@@ -513,6 +513,12 @@ def _spanning_values(ctx: EngineContext, f: int, ms) -> np.ndarray:
     return _take2(reg.sub, d1, ctx.images[ms])
 
 
+def _images_minus_one(ctx: EngineContext, zs) -> np.ndarray:
+    """Registry ids of T = Im(z - 1) for each z in zs, spanned by the (z - 1)g."""
+    reg = ctx.subgroups
+    return reg.span(np.zeros(len(zs), dtype=np.int32), _take2(reg.sub, ctx.images[zs], ctx.gen_pos).T)
+
+
 def _coset_data(ctx: EngineContext, f: int) -> np.ndarray:
     """Registry id of the image subgroup of x - f(x) - m(x), for every member m.
 
@@ -829,8 +835,7 @@ def count_class(ctx: EngineContext, h: int) -> list[ClassTerms]:
     # the representatives that share C(h): in its centre, with h's class size
     zs = [h] + [z for z in fs[single].tolist() if z != h and aut_sizes.get(z) == aut_sizes[h]]
 
-    # T = Im(z - 1), spanned by (z - 1)g over the canonical generators g
-    ts = reg.span(np.zeros(len(zs), dtype=np.int32), _take2(reg.sub, ctx.images[zs], gp).T)
+    ts = _images_minus_one(ctx, zs)
     _, orbit, orbit_size = np.unique(
         _orbit_min_labels(list(gtabs), n), return_inverse=True, return_counts=True
     )
@@ -921,8 +926,7 @@ def _fill_central_terms(ctx: EngineContext, results: list[ClassTerms]) -> None:
     zs = np.asarray([r.rep for r in central])
     fs = np.repeat([r.rep for r in results], [len(r.reps) for r in results])
     vals = _spanning_values(ctx, fs, np.concatenate([r.reps for r in results])).T
-    t = reg.span(np.zeros(len(zs), dtype=np.int32), _take2(reg.sub, ctx.images[zs], ctx.gen_pos).T)
-    s = reg.span(np.repeat(t, len(fs)), np.tile(vals, len(zs)))
+    s = reg.span(np.repeat(_images_minus_one(ctx, zs), len(fs)), np.tile(vals, len(zs)))
     weighted = reg.counts[s].reshape(len(zs), -1) * np.concatenate([r.class_sizes for r in results])
     starts = np.cumsum([0] + [len(r.reps) for r in results[:-1]])
     terms = dict(zip([r.rep for r in results], np.add.reduceat(weighted, starts, axis=1).T))

@@ -243,6 +243,8 @@ class ReportCache:
             return None
         if any(type(payload.get(f)) is not int for f in _REPORT_FIELDS):
             return None
+        if type(payload.get("note", "")) is not str:
+            return None
         try:
             report = GroupReport.from_dict(payload)
         except AssertionError:  # an inconsistent report

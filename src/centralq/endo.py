@@ -24,13 +24,13 @@ An automorphism is determined by the images of the rank canonical
 generators, and generator i can only map into a known finite set of
 elements.  Numbering each generator's legal images and reading the rank
 numbers as digits of one mixed-radix number gives every member a dense
-key below the number of legal matrices.  AutGroup keeps one int32
-array from key to member index (-1 for non-members), so a member is found
-from its rank generator images by a single gather: no sorting, no
-searching and no full n-column table comparison.  The index has one
-entry per legal matrix, at most 12 per member for the groups of
-order up to 256 within the default budget: 2^25 entries (134 MB) for
-C2^5, against 320 MB of tables.
+key below the number of legal matrices.  The closure that numbers the
+members writes one int32 array from key to member index (-1 for
+non-members), which AutGroup keeps, so a member is found from its rank
+generator images by a single gather: no sorting, no searching and no
+full n-column table comparison.  The index has one entry per legal
+matrix, at most 12 per member for the groups of order up to 256 within the
+default budget: 2^25 entries (134 MB) for C2^5, against 320 MB of tables.
 """
 
 from __future__ import annotations
@@ -311,7 +311,7 @@ def _random_automorphism(
             return t
 
 
-def _images_by_closure(gp: AbelianGroup, expected: int) -> tuple[np.ndarray, np.ndarray]:
+def _images_by_closure(gp: AbelianGroup, expected: int) -> tuple[np.ndarray, np.ndarray, list]:
     """Grow the group's generator images by closure over a few seeded random members.
 
     Each generator is a uniformly random automorphism
@@ -329,29 +329,30 @@ def _images_by_closure(gp: AbelianGroup, expected: int) -> tuple[np.ndarray, np.
     A member is its rank generator images, and generator g applied after
     member m has images g[m's images].  Their keys are read through the key
     codes composed with g, so g's images are gathered only for the
-    products not seen before.  Each round's new members are ordered by
-    key, so a member's index does not depend on which generator reached it
-    first, and the identity is member 0.  The images are column-major:
-    every pass over them (keys, evaluation, centralizer tests) reads one
-    generator's column.  Returns the images and the generators' images.
+    products not seen before.  `index` (key to member, -1 for none) is the
+    one membership record, and each round numbers its new members in key
+    order: a member's index does not depend on which generator reached it
+    first, and the identity is member 0.  Images are column-major: every
+    pass over them (keys, evaluation, centralizer tests) reads one column.
+    Returns the images, the index and the generators' member indices.
     """
     codes, space = _image_codes(gp)
     gen_pos = np.asarray(gp._strides)
     images = np.empty((expected, gp.rank), dtype=gp.index_dtype, order="F")
     images[0] = gen_pos
-    seen = np.zeros(space, dtype=bool)
-    seen[_keys_of_images(codes, images[:1])] = True
+    index = np.full(space, -1, dtype=np.int32)
+    index[_keys_of_images(codes, images[:1])] = 0  # the identity
     rng = random.Random(f"aut-generators:{gp.descriptor}")
     legal = [np.flatnonzero(c < space) for c in codes]
 
-    def outside(t: np.ndarray) -> bool:
-        return not seen[_keys_of_images(codes, t[None, gen_pos])[0]]
+    def key_of(t: np.ndarray) -> int:
+        return int(_keys_of_images(codes, t[None, gen_pos])[0])
 
     gens: list[np.ndarray] = []
     hi = 1
     while hi < expected:
         draws = (_random_automorphism(gp, rng, legal) for _ in range(_MAX_DRAWS))
-        g = next((t for t in draws if outside(t)), None)
+        g = next((t for t in draws if index[key_of(t)] < 0), None)
         if g is None:
             raise AssertionError(
                 f"generating set incomplete for {gp.descriptor}: "
@@ -364,19 +365,20 @@ def _images_by_closure(gp: AbelianGroup, expected: int) -> tuple[np.ndarray, np.
             round_images, round_keys = [], []
             for t in acting:
                 keys = _keys_of_images(codes[:, t], frontier)
-                fresh = np.flatnonzero(~seen[keys])
+                fresh = np.flatnonzero(index.take(keys) < 0)
                 keys = keys[fresh]
-                seen[keys] = True
+                index[keys] = hi  # taken, so the next generator skips it
                 round_images.append(t[frontier[fresh]])
                 round_keys.append(keys)
             keys = np.concatenate(round_keys)
             end = hi + len(keys)
             if end > expected:
                 raise AssertionError("closure overshot the predicted group order")
-            images[hi:end] = np.concatenate(round_images, axis=0)[np.argsort(keys)]
+            order = np.argsort(keys)
+            images[hi:end] = np.concatenate(round_images, axis=0)[order]
+            index[keys[order]] = np.arange(hi, end, dtype=np.int32)
             lo, hi, acting = hi, end, gens
-    gen_images = np.asarray([t[gen_pos] for t in gens], dtype=gp.index_dtype)
-    return images, gen_images.reshape(len(gens), gp.rank)
+    return images, index, index[[key_of(t) for t in gens]].tolist() or [0]
 
 
 class AutGroup:
@@ -400,25 +402,22 @@ class AutGroup:
     element-major (`tables.T` is C-contiguous).  Aut-wide work
     (conjugation, class labels) never reads them; per-class work does.
 
-    `gens` are the member indices of the generating set the closure grew
-    from (given by their images, gen_images): the closure reached |Aut|,
-    so they generate the whole group.
+    `index` and `gens`, the member indices of the generating set, come
+    from the closure that grew the images (`_images_by_closure`), which
+    reached |Aut|: the gens generate the whole group.
     """
 
-    def __init__(self, group: AbelianGroup, images: np.ndarray, gen_images: np.ndarray):
+    def __init__(self, group: AbelianGroup, images: np.ndarray, index: np.ndarray, gens: list):
         self.group = group
         self.images = images
         self.images.setflags(write=False)
         self.gen_pos = np.asarray(group._strides, dtype=np.int64)
-        self._codes, space = _image_codes(group)
-        keys = self.keys
-        self.index = np.full(space, -1, dtype=np.int32)
-        self.index[keys] = np.arange(len(images), dtype=np.int32)
-        if not np.array_equal(self.index[keys], np.arange(len(images))):
+        self._codes = _image_codes(group)[0]
+        if np.count_nonzero(index >= 0) != len(images):  # a repeated key leaves fewer entries
             raise AssertionError("duplicate members in automorphism group")
+        self.index, self.gens = index, gens
         self.index.setflags(write=False)
         self.identity_index = self._index_of_images(self.gen_pos)
-        self.gens = self.lookup_images(gen_images).tolist() or [self.identity_index]
 
     def __len__(self):
         return len(self.images)
@@ -503,11 +502,6 @@ class AutGroup:
                 out[r] = acc
         return out
 
-    @property
-    def keys(self) -> np.ndarray:
-        """Dense key of every member, in member order."""
-        return _keys_of_images(self._codes, self.images)
-
     def lookup_images(self, images: np.ndarray) -> np.ndarray:
         """Member indices of (rows, rank) generator images; raises if any row is foreign."""
         keys = _keys_of_images(self._codes, images)
@@ -564,14 +558,13 @@ class _MemberSeq(Sequence):
 def aut_group(group: AbelianGroup, budget: int | None = DEFAULT_AUT_BUDGET) -> AutGroup:
     """Construct Aut(G) completely, refusing when it would exceed the budget.
 
-    The members are grown by closure over a few seeded, uniformly random
-    automorphisms (see `_images_by_closure`).  The closure must reach
-    exactly the order given by the formula, so the drawn members generate
-    Aut(G): the group keeps them as its generating set (`AutGroup.gens`,
-    the engine's `agens`).
+    The members are grown and numbered by a closure over a few seeded,
+    uniformly random automorphisms (see `_images_by_closure`).  The closure
+    must reach exactly the order given by the formula, so the drawn members
+    generate Aut(G): the group keeps them as its generating set
+    (`AutGroup.gens`, the engine's `agens`).
     """
     expected = aut_group_order(group)
     if budget is not None and expected > budget:
         raise ResourceLimitError(group, expected, budget)
-    images, gen_images = _images_by_closure(group, expected)
-    return AutGroup(group, images, gen_images)
+    return AutGroup(group, *_images_by_closure(group, expected))

@@ -262,8 +262,9 @@ def test_cache_ignores_other_engine_versions(tmp_path, monkeypatch):
         lambda payload: {**payload, "mq": payload["cq"] + 1},  # mq > cq: inconsistent
         # another group's report
         lambda payload: {**payload, **enumerate_group(parse_group("C3xC3")).to_dict()},
+        lambda payload: {**payload, "note": 5},  # combine_coprime joins notes as strings
     ],
-    ids=["not-an-object", "string-count", "inconsistent", "other-group"],
+    ids=["not-an-object", "string-count", "inconsistent", "other-group", "non-string-note"],
 )
 def test_malformed_cache_entries_are_recomputed(tmp_path, poison):
     cache = ReportCache(tmp_path)

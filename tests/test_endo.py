@@ -349,7 +349,7 @@ def test_member_tables_are_pinned(desc, digest):
 @pytest.mark.parametrize("desc", ["C4xC2xC3", "C9xC3", "C2^3", "C4xC4xC2xC2"])
 def test_keys_follow_generator_image_order(desc):
     A = aut_group(parse_group(desc))
-    keys = A.keys
+    keys = endo_mod._keys_of_images(A._codes, A.images)
     assert keys.min() >= 0 and keys.max() < len(A.index)
     # generator 0 least significant, element-index order within a generator
     assert np.array_equal(np.argsort(keys), np.lexsort(A.images.T))
@@ -439,8 +439,26 @@ def test_duplicate_members_are_refused():
     A = aut_group(parse_group("C2xC2"))
     images = A.images.copy(order="F")
     images[1] = images[0]
+    index = np.full(len(A.index), -1, dtype=np.int32)
+    index[endo_mod._keys_of_images(A._codes, images)] = np.arange(len(images), dtype=np.int32)
     with pytest.raises(AssertionError, match="duplicate members"):
-        endo_mod.AutGroup(A.group, images, A.images[A.gens])
+        endo_mod.AutGroup(A.group, images, index, A.gens)
+
+
+@pytest.mark.parametrize("desc", ["C3^3", "C4xC4xC2xC2"])
+def test_build_makes_no_key_pass_over_all_members(desc, monkeypatch):
+    # the closure numbers the members in the index as it grows them, so no
+    # later pass rebuilds it from every member's key
+    rows = []
+    keys_of_images = endo_mod._keys_of_images
+
+    def spy(codes, images):
+        rows.append(len(images))
+        return keys_of_images(codes, images)
+
+    monkeypatch.setattr(endo_mod, "_keys_of_images", spy)
+    A = aut_group(parse_group(desc))
+    assert rows and max(rows) < len(A)
 
 
 @pytest.mark.parametrize("desc", ["C2^3", "C4xC2", "C4xC2xC3"])
