@@ -21,9 +21,9 @@ C(f) ∩ C(h) = C(h) and the medial term is the central one, with no
 joins.  For a central h, C(f) ∩ C(h) = C(f): enumerate_counts fills
 those terms from f's own classes once every class has run.  A
 representative z in the centre of C(h) whose Aut-wide class has h's size
-has C(z) = C(h), and count_class returns its terms with h's, so each
-distinct centralizer is scanned once, by the process that counts one of
-its classes (two pool workers may race into a second).  A proper centralizer
+has C(z) = C(h), and count_class returns its terms with h's: as
+enumerate_counts never has two classes of one Aut-wide size in flight,
+each distinct centralizer is computed once, at any job count.  A proper
 C(h) is worked in its own sorted member list: its generators are found
 by a local search (right multiplication by a candidate is a permutation
 of local positions, and the subgroup generated so far grows by doubling
@@ -69,11 +69,10 @@ from __future__ import annotations
 
 import contextlib
 import logging
-import mmap
 import multiprocessing
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -536,16 +535,15 @@ def _centralizer(ctx: EngineContext, f: int) -> tuple[np.ndarray, np.ndarray | N
 
     members is C(f)'s sorted member list and cols their values, row x
     holding m(x) for every member m: the row gather tables.T[:, members] of
-    the element-major tables.  cols is None when C(f) is all of Aut, whose
-    generators are agens and whose values are evaluated from the generator
-    images (see _member_products).
+    the element-major tables.  A class of size 1 says C(f) is all of Aut:
+    no scan is made, the generators are agens, and cols is None, the values
+    being evaluated from the generator images (see _member_products).
     """
+    if ctx.class_sizes[f] == 1:
+        return np.arange(ctx.N, dtype=np.int32), None, ctx.agens
     members = ctx.centralizer_members(f)
-    c_size = len(members)
-    if ctx.N % c_size:
+    if ctx.N % len(members):
         raise AssertionError("centralizer size does not divide the group order")
-    if c_size == ctx.N:
-        return members, None, ctx.agens
     cols = ctx.aut.tables.T[:, members]
     return members, cols, ctx.find_generators(members, cols, f"class {f}")[0]
 
@@ -877,12 +875,6 @@ def count_class(ctx: EngineContext, h: int) -> list[ClassTerms]:
 
 # the enumeration in progress; forked pool workers inherit it
 _WORKER_CTX: EngineContext | None = None
-_WORKER_COLLECT = False
-# one byte per class in an anonymous shared map, which forked workers write
-# to as well: set once some process has returned the class's result.
-# _WORKER_SLOTS gives each representative's byte
-_WORKER_DONE: mmap.mmap | None = None
-_WORKER_SLOTS: dict[int, int] = {}
 
 
 def _usable_cpus() -> int:
@@ -892,13 +884,15 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _run_class(f: int) -> list[ClassResult] | list[ClassTerms]:
-    """f's result and its siblings' (count_class), or [] if they came with another class."""
-    if _WORKER_DONE[_WORKER_SLOTS[f]]:
-        return []
-    out = [process_class(_WORKER_CTX, f)] if _WORKER_COLLECT else count_class(_WORKER_CTX, f)
-    for res in out:
-        _WORKER_DONE[_WORKER_SLOTS[res.rep]] = 1
+def _run_class(collect: bool, f: int) -> list[ClassResult] | list[ClassTerms]:
+    """f's result, and with count_class its siblings': in a pool worker or the parent."""
+    return [process_class(_WORKER_CTX, f)] if collect else count_class(_WORKER_CTX, f)
+
+
+def _run_here(fn, *args) -> Future:
+    """fn(*args), run in this process, as a finished Future: a pool's submit."""
+    out = Future()
+    out.set_result(fn(*args))
     return out
 
 
@@ -945,14 +939,15 @@ def enumerate_counts(
     """All six counts of one group, summed over its conjugacy representatives.
 
     Each representative runs count_class, which also returns the terms of
-    every representative that shares its centralizer: those classes are
-    flagged in bytes the pool's workers share, and a worker that draws one
-    skips it.  Two workers can still compute one centralizer at once; the
-    parent keeps the first result per representative and checks that any
-    other equals it.  With collect=True each representative runs the
-    pair-space route, process_class, which also returns one triple per
-    isomorphism class.  Either result gives cq and mq as numerators over
-    |Aut|, and the sums must divide by it.
+    every representative that shares its centralizer.  The parent schedules
+    the classes: it submits one not yet done whenever a worker or a queue
+    slot is free, and never has two of one Aut-wide class size in flight,
+    so no result holds a class that is running or queued.  With jobs=1 a
+    submitted class runs here and now.  The parent still checks that two
+    results for one class agree.  With collect=True each
+    representative runs the pair-space route, process_class, which also
+    returns one triple per isomorphism class.  Either result gives cq and
+    mq as numerators over |Aut|, and the sums must divide by it.
     """
     ctx = EngineContext(group, aut)
     # the per-class routes read the subgroup lattice and the action tables:
@@ -975,41 +970,46 @@ def enumerate_counts(
         "" if workers == 1 else "s",
     )
 
-    global _WORKER_CTX, _WORKER_COLLECT, _WORKER_DONE, _WORKER_SLOTS
+    global _WORKER_CTX
     _WORKER_CTX = ctx
-    _WORKER_COLLECT = collect
-    _WORKER_SLOTS = {f: i for i, f in enumerate(class_reps)}
+    # count_class returns only classes of h's Aut-wide size, and process_class
+    # only f: with one class per key in flight, no result is running or queued
+    key = (lambda f: f) if collect else ctx.class_sizes.get
     done: dict[int, ClassResult | ClassTerms] = {}
-    centralizers = 0  # non-empty lists received: a pool race counts one centralizer twice
+    centralizers = 0  # results received, one per centralizer computed
     cq_num = 0
     try:
-        with contextlib.ExitStack() as stack:
-            _WORKER_DONE = stack.enter_context(mmap.mmap(-1, len(class_reps)))
-            mapped = map(_run_class, class_reps)
-            if workers > 1:
-                mp = multiprocessing.get_context("fork")
-                ex = stack.enter_context(ProcessPoolExecutor(max_workers=workers, mp_context=mp))
-                mapped = ex.map(_run_class, class_reps, chunksize=1)
-            for batch in mapped:
-                centralizers += bool(batch)
-                for res in batch:
-                    if res.rep in done:
-                        if res != done[res.rep]:
-                            raise AssertionError("two results for one class disagree")
-                        continue
-                    done[res.rep] = res
-                    cq_num += res.numerators(ctx.N)[0]
-                    log.debug(
-                        "%s: class %d/%d done (cq so far %d)",
-                        group.descriptor,
-                        len(done),
-                        len(class_reps),
-                        cq_num // ctx.N,
-                    )
+        mp = multiprocessing.get_context("fork") if workers > 1 else None
+        pool = ProcessPoolExecutor(workers, mp) if mp else None
+        with pool or contextlib.nullcontext():
+            submit = pool.submit if pool else _run_here
+            pending, flight = class_reps, {}  # flight: each class running or queued, by future
+            while pending or flight:
+                for f in pending:
+                    # workers + 1 queued, as the pool's own call queue, so none waits
+                    if len(flight) <= 2 * workers and key(f) not in map(key, flight.values()):
+                        flight[submit(_run_class, collect, f)] = f
+                finished, _ = wait(flight, return_when=FIRST_COMPLETED)
+                for fut in finished:
+                    del flight[fut]
+                    centralizers += 1
+                    for res in fut.result():
+                        if res.rep in done:
+                            if res != done[res.rep]:
+                                raise AssertionError("two results for one class disagree")
+                            continue
+                        done[res.rep] = res
+                        cq_num += res.numerators(ctx.N)[0]
+                        log.debug(
+                            "%s: class %d/%d done (cq so far %d)",
+                            group.descriptor,
+                            len(done),
+                            len(class_reps),
+                            cq_num // ctx.N,
+                        )
+                pending = [f for f in pending if f not in done and f not in flight.values()]
     finally:
-        _WORKER_CTX = _WORKER_DONE = None
-        _WORKER_COLLECT = False
-        _WORKER_SLOTS = {}
+        _WORKER_CTX = None
     results = [done[f] for f in class_reps]
     log.info("%s: %d classes from %d centralizers", group.descriptor, len(results), centralizers)
 

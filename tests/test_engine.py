@@ -134,11 +134,10 @@ def _central_case():
 def _act_by(monkeypatch, ctx, f, table):
     """Make every member act on G by table where process_class reads the action.
 
-    C(f) is pinned to its scan with the real tables: scanned with the
-    faulty ones it would shrink to {1}, and there would be nothing to check.
+    f is central, so C(f) = Aut comes from its class size: it is never
+    scanned with the faulty tables, which would shrink it to {1}.
     """
-    members = ctx.centralizer_members(f)
-    monkeypatch.setattr(ctx, "centralizer_members", lambda g: members if g == f else None)
+    assert ctx.class_sizes[f] == 1
     fake = np.broadcast_to(table.astype(ctx.group.index_dtype), (ctx.N, ctx.group.order))
     monkeypatch.setitem(vars(ctx.aut), "tables", fake)
 
@@ -168,12 +167,25 @@ def test_transport_must_follow_the_member_permutation(monkeypatch):
 
 @pytest.mark.parametrize("route", [process_class, count_class])
 def test_centralizer_size_must_divide_the_group_order(monkeypatch, route):
-    ctx, f = _central_case()
+    ctx, _ = _central_case()
     real = EngineContext.centralizer_members
-    # f = -1 is central: 47 of Aut's 48 members
+    # a proper class, whose scan is its centralizer: one member short, the
+    # scan no longer divides |Aut| = 48 (a central class is never scanned)
+    f = next(r for r, k in ctx.class_sizes.items() if k > 1 and ctx.N % (len(real(ctx, r)) - 1))
     monkeypatch.setattr(EngineContext, "centralizer_members", lambda self, f: real(self, f)[1:])
     with pytest.raises(AssertionError, match="centralizer size does not divide"):
         route(ctx, f)
+
+
+def test_a_class_of_size_one_must_be_central(monkeypatch):
+    ctx, _ = _central_case()
+    f = next(r for r, k in ctx.class_sizes.items() if k > 1)
+    # a proper class sized 1 is taken for central: C(f) = Aut, and no scan
+    # is made, so agens must centralize f
+    monkeypatch.setitem(vars(ctx), "class_sizes", {**ctx.class_sizes, f: 1})
+    monkeypatch.setattr(EngineContext, "centralizer_members", None)
+    with pytest.raises(AssertionError, match="does not centralize the representative"):
+        process_class(ctx, f)
 
 
 def test_centralizer_generators_must_centralize(monkeypatch):
@@ -515,6 +527,8 @@ def test_each_centralizer_is_scanned_once_per_enumeration(monkeypatch, tmp_path,
     A = aut_group(g)
     shared = _shared_centralizers(A)
     assert (sum(map(len, shared)), len(shared)) == (8, 5)
+    proper = [reps for reps in shared if len(centralizer_indices(A, reps[0])) < len(A)]
+    assert len(proper) == 4
     scans = tmp_path / "scans"
     real = EngineContext.centralizer_mask
 
@@ -531,12 +545,9 @@ def test_each_centralizer_is_scanned_once_per_enumeration(monkeypatch, tmp_path,
     assert [r.rep for r in counts.class_results] == sorted(sum(shared, []))
     rows = [line.split() for line in scans.read_text().splitlines()]
     scanned = [int(f) for _, f in rows]
-    # no representative twice, and every distinct centralizer; in one
-    # process, one scan per centralizer (the pool may race into a second)
-    assert len(set(scanned)) == len(scanned)
-    assert all(set(scanned) & set(reps) for reps in shared)
-    if jobs == 1:
-        assert len(scanned) == len(shared)
+    # one scan per proper centralizer at any job count, and none of Aut itself
+    assert [len(set(scanned) & set(reps)) for reps in proper] == [1, 1, 1, 1]
+    assert len(scanned) == len(proper)
     pids = {int(pid) for pid, _ in rows}
     assert len(pids) == jobs
     assert (os.getpid() in pids) == (jobs == 1)
@@ -586,33 +597,8 @@ def test_duplicate_results_must_agree(monkeypatch):
         enumerate_counts(g, A)
 
 
-class _Forgetful(bytearray):
-    """Stands in for the shared flag bytes: every write is lost, as in a pool race."""
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def __setitem__(self, i, value):
-        pass
-
-
-def test_classes_computed_twice_change_nothing(monkeypatch, caplog):
-    g = parse_group("C11xC11")
-    A = aut_group(g)
-    serial = enumerate_counts(g, A)
-    monkeypatch.setattr(_engine.mmap, "mmap", lambda fileno, length: _Forgetful(length))
-    caplog.set_level(logging.INFO, logger=_engine.__name__)
-    raced = enumerate_counts(g, A)
-    # every class is computed with its siblings, and the parent keeps one of each
-    assert raced == serial
-    assert "C11xC11: 120 classes from 120 centralizers" in caplog.messages
-
-
 def test_more_workers_than_cores_return_the_serial_terms(monkeypatch):
-    # four workers on the shared flags: a lost flag costs a duplicate, never a term
+    # four workers, and never two classes of one class size in flight
     g = parse_group("C11xC11")
     A = aut_group(g)
     serial = enumerate_counts(g, A)
@@ -622,14 +608,17 @@ def test_more_workers_than_cores_return_the_serial_terms(monkeypatch):
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_enumeration_logs_the_centralizers_computed(monkeypatch, caplog, jobs):
-    g = parse_group("C11xC11")
+    # exactly the distinct centralizers, at any job count: no class is drawn
+    # while a class of its size is running or queued
     monkeypatch.setattr(_engine, "_usable_cpus", lambda: 2)
     caplog.set_level(logging.INFO, logger=_engine.__name__)
-    enumerate_counts(g, aut_group(g), jobs=jobs)
-    [line] = [r.getMessage() for r in caplog.records if " centralizers" in r.msg]
-    desc, classes, _, _, centralizers, _ = line.split()
-    assert (desc, classes) == ("C11xC11:", "120")
-    assert int(centralizers) == 22 if jobs == 1 else int(centralizers) >= 22
+    cases = [("C11xC11", 120, 22), ("C9xC3xC3", 74, 35), ("C8xC2^3", 60, 33)]
+    for desc, classes, centralizers in cases:
+        caplog.clear()
+        g = parse_group(desc)
+        enumerate_counts(g, aut_group(g), jobs=jobs)
+        [line] = [r.getMessage() for r in caplog.records if " centralizers" in r.msg]
+        assert line == f"{g.descriptor}: {classes} classes from {centralizers} centralizers"
 
 
 def _triples(desc, jobs=1):
@@ -693,7 +682,7 @@ def test_classification_is_checked_against_the_count_route(monkeypatch):
 
 
 class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records its size and maps in-process."""
+    """Stands in for ProcessPoolExecutor: records its size and runs each class in-process."""
 
     sizes: list[int] = []
 
@@ -706,8 +695,8 @@ class _RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items, chunksize=1):
-        return map(fn, items)
+    def submit(self, fn, *args):
+        return _engine._run_here(fn, *args)
 
 
 @pytest.mark.parametrize(
