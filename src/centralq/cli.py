@@ -6,8 +6,13 @@ Subcommands:
     reps    -- the classified triples (and optionally Cayley tables) of a group
     verify  -- recompute the bundled reference table and compare cell by cell
 
-Exit codes: 0 success, 1 usage or parse error, 2 resource limit exceeded
-(including a --jobs worker that died), 3 verification mismatch.
+Every table row, read from a fixture or CSV output or computed, a group's
+or an order's totals, is a FixtureRow.  count --order, table and verify
+walk their orders through one loop, with one report store per run.
+
+Exit codes: 0 success, 1 usage or parse error (a malformed fixture is one
+"cannot load fixture:" line), 2 resource limit exceeded (including a
+--jobs worker that died), 3 verification mismatch.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import logging
 import os
 import sys
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from importlib import resources
 from pathlib import Path
 
@@ -29,7 +34,6 @@ from .abelian import parse_group
 from .counting import (
     DEFAULT_AUT_BUDGET,
     GroupReport,
-    OrderReport,
     ReportCache,
     cq_mq_of_order,
     group_report,
@@ -39,19 +43,6 @@ from .quasigroup import build_quasigroup
 
 log = logging.getLogger(__name__)
 
-CSV_COLUMNS = (
-    "order",
-    "gap_id",
-    "descriptor",
-    "aut_order",
-    "conj_classes",
-    "pair_orbits",
-    "cq",
-    "commuting_pair_orbits",
-    "mq",
-)
-_CELL_FIELDS = CSV_COLUMNS[3:]
-
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_RESOURCE = 2
@@ -60,17 +51,20 @@ EXIT_MISMATCH = 3
 
 @dataclass
 class FixtureRow:
-    """One reference-table row; None cells are the table's unknown entries."""
+    """One table row: a group's, or, with no descriptor, an order's totals.
+
+    None cells are unknown; a totals row has only order, cq and mq.
+    """
 
     order: int
-    gap_id: str | None
-    descriptor: str
-    aut_order: int | None
-    conj_classes: int | None
-    pair_orbits: int | None
-    cq: int | None
-    commuting_pair_orbits: int | None
-    mq: int | None
+    gap_id: str | None = None
+    descriptor: str | None = None
+    aut_order: int | None = None
+    conj_classes: int | None = None
+    pair_orbits: int | None = None
+    cq: int | None = None
+    commuting_pair_orbits: int | None = None
+    mq: int | None = None
 
     @property
     def known_cells(self) -> dict[str, int]:
@@ -79,29 +73,62 @@ class FixtureRow:
         }
 
 
-@dataclass
-class OrderFixtureRow:
-    order: int
-    cq: int | None
-    mq: int | None
+CSV_COLUMNS = tuple(f.name for f in fields(FixtureRow))
+_LABELS = CSV_COLUMNS[1:3]
+_CELL_FIELDS = CSV_COLUMNS[3:]
+_TOTALS = ("order", "cq", "mq")
 
 
-def _cell(text: str) -> int | None:
+def _cell(column: str, text: str) -> int | str | None:
+    if column == "order":
+        return int(text)
+    if column in _LABELS:
+        return text or None
     text = text.strip()
     return None if text in ("?", "") else int(text)
+
+
+def parse_table_csv(text: str, columns: tuple[str, ...] = CSV_COLUMNS) -> list[dict]:
+    """The rows of a table CSV, as dicts over its header's table columns.
+
+    Unknown cells ("?" or blank) and blank labels read None.  Raises
+    ValueError when the header lacks one of columns, or a row has more or
+    fewer cells than the header.
+    """
+    lines = csv.reader(io.StringIO(text))
+    header = next(lines, [])
+    missing = [c for c in columns if c not in header]
+    if missing:
+        raise ValueError(f"the header has no {', '.join(missing)} column")
+    keep = [(i, c) for i, c in enumerate(header) if c in CSV_COLUMNS]
+    records = []
+    for cells in lines:
+        if not cells:  # a blank line
+            continue
+        if len(cells) != len(header):
+            raise ValueError(f"line {lines.line_num} has {len(cells)} cells, not {len(header)}")
+        records.append({c: _cell(c, cells[i]) for i, c in keep})
+    return records
 
 
 def load_fixture(path: str | Path | None = None):
     """The bundled (or an explicit) reference table.
 
-    Returns (group_rows, order_rows); group rows are keyed by descriptor,
-    order rows carry only the totals.
+    Returns (group_rows, order_rows); order rows carry only the totals.
+    Raises ValueError for a malformed or inconsistent fixture.
     """
     base = resources.files("centralq") / "data" if path is None else Path(path)
-    groups_text = (base / "reference_groups.csv").read_text()
-    orders_text = (base / "reference_orders.csv").read_text()
-
-    group_rows = [FixtureRow(**rec) for rec in parse_table_csv(groups_text)]
+    tables = []
+    for name, columns in [
+        ("reference_groups.csv", CSV_COLUMNS),
+        ("reference_orders.csv", _TOTALS),
+    ]:
+        try:
+            records = parse_table_csv((base / name).read_text(), columns)
+        except ValueError as exc:
+            raise ValueError(f"{name}: {exc}") from None
+        tables.append([FixtureRow(**rec) for rec in records])
+    group_rows, order_rows = tables
     listed = set()
     for row in group_rows:
         # a blank descriptor reads as None, which parse_group rejects as empty
@@ -111,10 +138,6 @@ def load_fixture(path: str | Path | None = None):
         if group.descriptor in listed:
             raise ValueError(f"fixture lists {group.descriptor} twice")
         listed.add(group.descriptor)
-    order_rows = [
-        OrderFixtureRow(int(r["order"]), _cell(r["cq"]), _cell(r["mq"]))
-        for r in csv.DictReader(io.StringIO(orders_text))
-    ]
     seen = set()
     for row in order_rows:
         if row.order in seen:
@@ -129,78 +152,39 @@ def gap_id_lookup() -> dict[str, str]:
 
 
 # ---------------------------------------------------------------------------
-# row records shared by table emission and verification
+# emission
 
 
-def _report_record(order: int, rep: GroupReport, gap_ids: dict[str, str]) -> dict:
-    rec = {
-        "order": order,
-        "gap_id": gap_ids.get(rep.descriptor),
-        "descriptor": rep.descriptor,
-    }
-    rec.update({f: getattr(rep, f) for f in _CELL_FIELDS})
-    return rec
-
-
-def _order_record(report: OrderReport) -> dict:
-    rec = {c: None for c in CSV_COLUMNS}
-    rec["order"] = report.n
-    rec["cq"] = report.cq
-    rec["mq"] = report.mq
-    return rec
-
-
-def emit_csv(records: list[dict]) -> str:
+def emit_csv(rows: list[FixtureRow]) -> str:
     out = io.StringIO()
     w = csv.writer(out)
     w.writerow(CSV_COLUMNS)
-    for rec in records:
-        is_order_row = rec["descriptor"] is None
-        vals = []
-        for c in CSV_COLUMNS:
-            v = rec[c]
-            if v is not None:
-                vals.append(v)
-            elif c in ("gap_id", "descriptor"):
-                vals.append("")
-            elif is_order_row and c not in ("cq", "mq"):
-                vals.append("")  # not applicable on total rows
-            else:
-                vals.append("?")
-        w.writerow(vals)
+    for row in rows:
+        # an unknown count is "?"; a blank label, or a group cell on a totals
+        # row, is empty
+        counts = _CELL_FIELDS if row.descriptor is not None else _TOTALS
+        w.writerow(
+            ("?" if c in counts else "") if v is None else v
+            for c, v in zip(CSV_COLUMNS, astuple(row))
+        )
     return out.getvalue()
 
 
-def parse_table_csv(text: str) -> list[dict]:
-    records = []
-    for rec in csv.DictReader(io.StringIO(text)):
-        row = {
-            "order": int(rec["order"]),
-            "gap_id": rec["gap_id"] or None,
-            "descriptor": rec["descriptor"] or None,
-        }
-        row.update({f: _cell(rec[f]) for f in _CELL_FIELDS})
-        records.append(row)
-    return records
-
-
-def emit_json(records: list[dict]) -> str:
-    return json.dumps(records, indent=1) + "\n"
+def emit_json(rows: list[FixtureRow]) -> str:
+    return json.dumps([asdict(row) for row in rows], indent=1) + "\n"
 
 
 def parse_table_json(text: str) -> list[dict]:
     return json.loads(text)
 
 
-def emit_text(records: list[dict]) -> str:
+def emit_text(rows: list[FixtureRow]) -> str:
     headers = list(CSV_COLUMNS)
-    rows = [
-        ["" if rec[c] is None else str(rec[c]) for c in CSV_COLUMNS] for rec in records
-    ]
-    widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
+    cells = [["" if v is None else str(v) for v in astuple(row)] for row in rows]
+    widths = [max(len(h), *(len(r[i]) for r in cells)) if cells else len(h)
               for i, h in enumerate(headers)]
     lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip()]
-    for r in rows:
+    for r in cells:
         lines.append("  ".join(v.ljust(w) for v, w in zip(r, widths)).rstrip())
     return "\n".join(lines) + "\n"
 
@@ -232,6 +216,21 @@ def _report_cache(args) -> ReportCache | _RunMemo:
     return _RunMemo() if args.no_cache else ReportCache(args.cache_dir)
 
 
+def _order_reports(args, cache, orders):
+    """(n, OrderReport) for each order in turn, all through one report store."""
+    for n in orders:
+        yield n, cq_mq_of_order(n, budget=args.aut_budget, jobs=args.jobs, cache=cache)
+
+
+def _group_rows(order: int, reports: list[GroupReport], gap_ids) -> list[FixtureRow]:
+    rows = [
+        FixtureRow(order, gap_ids.get(rep.descriptor), rep.descriptor,
+                   *(getattr(rep, f) for f in _CELL_FIELDS))
+        for rep in reports
+    ]
+    return sorted(rows, key=lambda row: row.descriptor)
+
+
 def _write_output(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text)
@@ -239,58 +238,38 @@ def _write_output(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _records_for_order(n: int, report: OrderReport, gap_ids) -> list[dict]:
-    recs = [_report_record(n, rep, gap_ids) for rep in report.per_group]
-    recs.sort(key=lambda r: (r["order"], r["descriptor"]))
-    recs.append(_order_record(report))
-    return recs
+def _emit(args, rows: list[FixtureRow], reports: list[GroupReport], what: str) -> int:
+    """Write the rows; over-budget notes and one closing line go to stderr."""
+    _write_output(_EMITTERS[args.format](rows), args.out)
+    notes = [rep.note for rep in reports if not rep.complete]
+    if not notes:
+        return EXIT_OK
+    for note in notes:
+        print(note, file=sys.stderr)
+    print(f"some {what} exceeded the automorphism budget", file=sys.stderr)
+    return EXIT_RESOURCE
 
 
-def _budget_notes(reports: list[GroupReport]) -> list[str]:
-    return [rep.note for rep in reports if not rep.complete and rep.note]
+def _emit_orders(args, orders, what: str) -> int:
+    gap_ids = gap_id_lookup()
+    rows, reports = [], []
+    for n, report in _order_reports(args, _report_cache(args), orders):
+        rows += _group_rows(n, report.per_group, gap_ids)
+        rows.append(FixtureRow(n, cq=report.cq, mq=report.mq))
+        reports += report.per_group
+    return _emit(args, rows, reports, what)
 
 
 def cmd_count(args) -> int:
-    cache = _report_cache(args)
-    gap_ids = gap_id_lookup()
-    if args.group:
-        group = parse_group(args.group)
-        rep = group_report(group, budget=args.aut_budget, jobs=args.jobs, cache=cache)
-        records = [_report_record(group.order, rep, gap_ids)]
-        notes = _budget_notes([rep])
-        incomplete = not rep.complete
-    else:
-        report = cq_mq_of_order(
-            args.order, budget=args.aut_budget, jobs=args.jobs, cache=cache
-        )
-        records = _records_for_order(args.order, report, gap_ids)
-        notes = _budget_notes(report.per_group)
-        incomplete = report.cq is None
-    _write_output(_EMITTERS[args.format](records), args.out)
-    if incomplete:
-        for note in notes:
-            print(note, file=sys.stderr)
-        print("some values exceeded the automorphism budget", file=sys.stderr)
-        return EXIT_RESOURCE
-    return EXIT_OK
+    if args.order is not None:
+        return _emit_orders(args, [args.order], "values")
+    group = parse_group(args.group)
+    rep = group_report(group, budget=args.aut_budget, jobs=args.jobs, cache=_report_cache(args))
+    return _emit(args, _group_rows(group.order, [rep], gap_id_lookup()), [rep], "values")
 
 
 def cmd_table(args) -> int:
-    cache = _report_cache(args)
-    gap_ids = gap_id_lookup()
-    records = []
-    notes = []
-    for n in range(1, args.max + 1):
-        report = cq_mq_of_order(n, budget=args.aut_budget, jobs=args.jobs, cache=cache)
-        records.extend(_records_for_order(n, report, gap_ids))
-        notes.extend(_budget_notes(report.per_group))
-    _write_output(_EMITTERS[args.format](records), args.out)
-    if notes:
-        for note in notes:
-            print(note, file=sys.stderr)
-        print("some rows exceeded the automorphism budget", file=sys.stderr)
-        return EXIT_RESOURCE
-    return EXIT_OK
+    return _emit_orders(args, range(1, args.max + 1), "rows")
 
 
 def cmd_reps(args) -> int:
@@ -322,7 +301,7 @@ def cmd_reps(args) -> int:
 def cmd_verify(args) -> int:
     try:
         group_rows, order_rows = load_fixture(args.fixture)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"cannot load fixture: {exc}", file=sys.stderr)
         return EXIT_USAGE
     cache = _report_cache(args)
@@ -344,10 +323,8 @@ def cmd_verify(args) -> int:
             mismatched += 1
             print(f"MISMATCH {desc} {cell}: computed {got}, table says {want}")
 
-    for n in sorted({r.order for r in group_rows} | totals.keys()):
-        if n > args.max:
-            break
-        report = cq_mq_of_order(n, budget=args.aut_budget, jobs=args.jobs, cache=cache)
+    orders = sorted(n for n in {r.order for r in group_rows} | totals.keys() if n <= args.max)
+    for n, report in _order_reports(args, cache, orders):
         for rep in report.per_group:
             row = fixture.get(rep.descriptor)  # an unlisted group is all unknown
             for f in _CELL_FIELDS:

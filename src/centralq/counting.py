@@ -99,14 +99,6 @@ class OrderReport:
     mq: int | None
     per_group: list[GroupReport]
 
-    def to_dict(self) -> dict:
-        return {
-            "order": self.n,
-            "cq": self.cq,
-            "mq": self.mq,
-            "groups": [g.to_dict() for g in self.per_group],
-        }
-
 
 # ---------------------------------------------------------------------------
 # closed formula for cyclic groups of prime power order

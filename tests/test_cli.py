@@ -76,6 +76,13 @@ def test_zero_order_or_power_is_a_usage_error(capsys, desc):
     assert err.startswith("error: ") and "must be at least 1" in err
 
 
+def test_empty_group_is_a_usage_error(capsys):
+    # an empty --group is a descriptor to parse, not a missing --order
+    code, out, err = run(capsys, "count", "--group", "", "--no-cache")
+    assert code == EXIT_USAGE and out == ""
+    assert err == "error: empty group descriptor\n"
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as info:
         main(["count"])  # neither --group nor --order
@@ -271,6 +278,23 @@ def test_reps_output_bytes_are_pinned(capsys, desc, digest):
     assert hashlib.md5(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        ("table --max 16 --format csv", "84f0a2f34a6f11f0c874166bef6a1d7a"),
+        ("table --max 16 --format json", "b6ac1c97ad4cc808eb9a4db0fa82a548"),
+        ("table --max 16 --format table", "fe1e4e00d5fa3cc229d2aba21c8e4ea8"),
+        ("count --order 8 --format csv", "405c6c9e14f5de304aa127044445c6fd"),
+        ("count --group C4xC2xC3 --format json", "4460bfee26069df2669c82b588243455"),
+    ],
+)
+def test_table_output_bytes_are_pinned(capsys, argv, digest):
+    # each format, over group rows and order totals
+    code, out, _ = run(capsys, *argv.split(), "--no-cache")
+    assert code == EXIT_OK
+    assert hashlib.md5(out.encode()).hexdigest() == digest
+
+
 def test_reps_emit_tables(capsys, tmp_path):
     outdir = tmp_path / "tables"
     code, _, err = run(
@@ -377,8 +401,29 @@ def _order_8_twice(rows):
             "fixture lists C4xC2 twice",
         ),
         (_keep, _order_8_twice, "fixture lists order 8 twice"),
+        # every row has as many cells as its file's header
+        (
+            lambda rows: [row[:-1] if row[2] == "C3" else row for row in rows],
+            _keep,
+            "reference_groups.csv: line 4 has 8 cells, not 9",
+        ),
+        (
+            _keep,
+            lambda rows: [row[:-1] if row[0] == "8" else row for row in rows],
+            "reference_orders.csv: line 9 has 2 cells, not 3",
+        ),
+        (
+            lambda rows: [row + ["1"] if row[2] == "C3" else row for row in rows],
+            _keep,
+            "reference_groups.csv: line 4 has 10 cells, not 9",
+        ),
+        (_keep, lambda rows: [["order", "cq", "medial"]] + rows[1:],
+         "reference_orders.csv: the header has no mq column"),
     ],
-    ids=["blank", "twice", "order-twice"],
+    ids=[
+        "blank", "twice", "order-twice", "short-row", "order-short-row", "extra-cell",
+        "no-column",
+    ],
 )
 def test_verify_malformed_fixture_rows(capsys, tmp_path, edit, edit_orders, error):
     fixdir = edited_fixture(tmp_path, edit, edit_orders)
@@ -434,7 +479,12 @@ def test_verify_unlisted_group_is_unknown(capsys, tmp_path):
     )
 
 
-def test_no_cache_counts_each_group_once_per_run(capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "argv",
+    [["table", "--max", "12"], ["count", "--order", "12"], ["verify", "--max", "12"]],
+    ids=["table", "count", "verify"],
+)
+def test_no_cache_counts_each_group_once_per_run(capsys, monkeypatch, argv):
     from collections import Counter
 
     from centralq import counting
@@ -447,7 +497,7 @@ def test_no_cache_counts_each_group_once_per_run(capsys, monkeypatch):
         return enumerate_group(group, **kw)
 
     monkeypatch.setattr(counting, "enumerate_group", counted)
-    code, _, _ = run(capsys, "table", "--max", "12", "--no-cache")
+    code, _, _ = run(capsys, *argv, "--no-cache")
     assert code == EXIT_OK
     # C2xC2 is a component of orders 4 and 12
     assert calls["C2xC2"] == 1 and set(calls.values()) == {1}
