@@ -23,33 +23,34 @@ those terms from f's own classes once every class has run.  A
 representative z in the centre of C(h) whose Aut-wide class has h's size
 has C(z) = C(h), and count_class returns its terms with h's: as
 enumerate_counts never has two classes of one Aut-wide size in flight,
-each distinct centralizer is computed once, at any job count.  A proper
-C(h) is worked in its own sorted member list: its generators are found
-by a local search (right multiplication by a candidate is a permutation
-of local positions, and the subgroup generated so far grows by doubling
-along the new one and a breadth-first sweep of all of them), its classes
-by conjugation restricted to those positions, and C(f) ∩ C(h) for a run
-of terms f by one array pass over the cosets of C(h)'s centre Z.  Z lies
-in every C(f) ∩ C(h), which is therefore a union of cosets of Z, so the
+each distinct centralizer is computed once, at any job count.  Every
+C(h) is one MemberList: its sorted member indices, and by position in
+the list their generator images, their values (row x holding m(x) for
+every member m) and generators.  A proper C(h)'s generators are found by
+a local search (right multiplication by a candidate is a permutation of
+positions, and the subgroup generated so far grows by doubling along the
+new one and a breadth-first sweep of all of them), its classes by
+conjugation restricted to those positions, and C(f) ∩ C(h) for a run of
+terms f by one array pass over the cosets of C(h)'s centre Z.  Z lies in
+every C(f) ∩ C(h), which is therefore a union of cosets of Z, so the
 commuting test (_commuting) that scans Aut(G) for C(f) runs on one
-member per coset (_centre_cosets).  Member indices become local
-positions through one N-entry map per context, read back against the
-list.  Aut(G) itself needs no search: agens is the generating set its
-closure grew from (AutGroup.gens).  conj_perm is the same conjugation
-over all of Aut(G)'s members, whose values it evaluates from the
-generator images: the Aut-wide stages (conjugation, class labels) never
-build the N x n action tables, which the per-class routes read and
-enumerate_counts builds once, before a pool forks.  The tables are
-element-major, so a centralizer scan reads one contiguous row of all
-members' values per element, and a member list's values (its "cols", row
-x holding m(x) for every member m) are one row gather.
+member per coset (_centre_cosets).  Member indices become positions
+through one N-entry map per context, read back against the list.
+Aut(G)'s own list (all_members) needs no search: agens is the generating
+set its closure grew from (AutGroup.gens).  conj_perm is conjugation
+over that list, whose products are evaluated from the generator images:
+the Aut-wide stages (conjugation, class labels) never build the N x n
+action tables, which the per-class routes read and enumerate_counts
+builds once, before a pool forks.  The tables are element-major, so a
+centralizer scan reads one contiguous row of all members' values per
+element, and a proper list's values are one row gather.
 
 process_class builds the pair space of one representative and labels its
 orbits; it serves the explicit classification, which needs one point per
 orbit, and is the second route the tests compare the counts with.  Both
-per-class routes get C(f) from one helper (_centralizer: the scanned
-member list, its cols and its generators), and both results give cq and
-mq as numerators over |Aut|.
+per-class routes get C(f) from one helper (_centralizer, a member list
+with its generators), and both results give cq and mq as numerators
+over |Aut|.
 
 The image of x - f(x) - m(x) is a homomorphic image, so it is spanned by
 the values on the rank canonical generators, read from the members'
@@ -93,7 +94,7 @@ _CHUNK_ROWS = 1 << 19
 # memory; a single larger term is a run of its own
 _MEDIAL_ROWS = 1 << 16
 _MAX_GENERATOR_TRIES = 64
-# members per pass of _member_products: its int64 keys then stay in cache
+# members per pass of MemberList.products: its int64 keys then stay in cache
 # (three conjugations on Aut(C2^5): 2.4-2.6 s at 2^16 rows, 2.8-2.9 s at 2^19)
 _PRODUCT_ROWS = 1 << 16
 # first window of _sweep_labels' scan for the next unlabelled point
@@ -114,20 +115,6 @@ def _inverse_perm(p: np.ndarray) -> np.ndarray:
     inv = np.empty_like(p)
     inv[p] = np.arange(len(p), dtype=p.dtype)
     return inv
-
-
-def _positions(
-    members: np.ndarray, pos_map: np.ndarray, glob: np.ndarray, what: str
-) -> np.ndarray:
-    """Positions in members of the member indices glob, read from a position_map.
-
-    Stale map entries are caught by reading the members back: a member
-    index outside the list raises.
-    """
-    pos = pos_map.take(glob)
-    if (members.take(pos, mode="clip") != glob).any():
-        raise AssertionError(f"{what}; inputs inconsistent")
-    return pos
 
 
 def _orbit_min_labels(gens: list[np.ndarray], count: int) -> np.ndarray:
@@ -229,27 +216,62 @@ def _commuting(ft: np.ndarray, gp: np.ndarray, img: np.ndarray, cols: np.ndarray
     return out
 
 
-def _member_products(
-    ctx: EngineContext, cols: np.ndarray | None, g: int, conjugate=False
-) -> np.ndarray:
-    """Member indices of m g, or of g m g^-1 if conjugate, for every m of a member list.
+class MemberList:
+    """A sorted member list: a proper centralizer C(h), or all of Aut(G).
 
-    cols is the list's values, row x holding m(x) for every member m (a row
-    gather of the element-major tables), or None for the whole group,
-    whose values are evaluated from the generator images instead, so the
-    N x n tables are never read.  A C(h) list keeps its cols: evaluating
-    those from the images too cost the fixture sweep about 11 % of its
-    wall time.  Each product is looked up by its generator images.
+    members are ascending member indices, the names ClassTerms uses;
+    images, values (row x holds m(x) for every member m) and gens go by
+    position in the list, which for all of Aut(G) is the member index.  A
+    proper list writes its context's one position map when built: the
+    newest owns it, and lookups read the members back, so an older list's
+    lookups raise.
     """
-    # m g's images are m's values at g's images; only a conjugation needs g's table
-    gtab = ctx.aut.member_table(g) if conjugate else None
-    right = _inverse_perm(gtab)[ctx.gen_pos] if conjugate else ctx.images[g]
-    out = np.empty(ctx.N if cols is None else cols.shape[1], dtype=np.int64)
-    for lo in range(0, len(out), _PRODUCT_ROWS):
-        hi = min(lo + _PRODUCT_ROWS, len(out))
-        img = ctx.aut.evaluate(right, lo, hi) if cols is None else cols[right, lo:hi]
-        out[lo:hi] = ctx.aut.lookup_images((gtab[img] if conjugate else img).T)
-    return out
+
+    def __init__(self, ctx: EngineContext, members: np.ndarray):
+        self.aut = ctx.aut
+        self.members = members
+        self.proper = len(members) < ctx.N
+        self.images = ctx.aut.images[members] if self.proper else ctx.aut.images
+        self.gens = [] if self.proper else ctx.agens  # a proper list's are set by _centralizer
+        if self.proper:
+            self._position_map = ctx._position_map
+            self._position_map[members] = np.arange(len(members), dtype=np.int32)
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """(n, members) values: the row gather tables.T[:, members] of the element-major tables."""
+        return self.aut.tables.T[:, self.members]
+
+    def tables(self, pos) -> np.ndarray:
+        """Action tables of the members at positions pos, row i holding m_i(y) for every y."""
+        return self.aut.tables[self.members[pos]]
+
+    def lookup(self, images: np.ndarray, what: str) -> np.ndarray:
+        """Positions of the members with these (rows, rank) generator images; others raise."""
+        glob = self.aut.lookup_images(images)
+        if not self.proper:
+            return glob
+        pos = self._position_map.take(glob)
+        if (self.members.take(pos, mode="clip") != glob).any():
+            raise AssertionError(f"{what}; inputs inconsistent")
+        return pos
+
+    def products(self, g: int, what: str, conjugate=False) -> np.ndarray:
+        """Positions of m g, or of g m g^-1 if conjugate, for every member m; g is a position.
+
+        All of Aut(G) is evaluated from the generator images, so the
+        Aut-wide stages never build the N x n tables; a C(h) list reads its
+        values (from the images too, the fixture sweep took about 11 % longer).
+        """
+        # m g's images are m's values at g's images; only a conjugation needs g's table
+        gtab = self.aut.member_table(self.members[g]) if conjugate else None
+        right = _inverse_perm(gtab)[self.aut.gen_pos] if conjugate else self.images[g]
+        out = np.empty(len(self.members), dtype=np.int64)
+        for lo in range(0, len(out), _PRODUCT_ROWS):
+            hi = min(lo + _PRODUCT_ROWS, len(out))
+            img = self.values[right, lo:hi] if self.proper else self.aut.evaluate(right, lo, hi)
+            out[lo:hi] = self.lookup((gtab[img] if conjugate else img).T, what)
+        return out
 
 
 class SubgroupRegistry:
@@ -341,19 +363,19 @@ class EngineContext:
         self.group = group
         self.aut = aut
         self.N = len(aut)
-        self.images = aut.images
-        self.gen_pos = aut.gen_pos
+        # member index -> position in the newest proper MemberList; pages fill as lists write them
+        self._position_map = np.empty(self.N, dtype=np.int32)
         self.seed_base = f"enumeration:{group.descriptor}"
 
     # -- member-space primitives -------------------------------------------
 
     def conj_perm(self, h: int) -> np.ndarray:
         """Member permutation m -> h m h^-1, found from generator images alone."""
-        return _member_products(self, None, h, conjugate=True)
+        return self.all_members.products(h, "conjugation left Aut", conjugate=True)
 
     def closure_mask(self, gens: list[int]) -> tuple[np.ndarray, int]:
         """Members generated by gens, as a mask over member indices (the tests' reference)."""
-        tab, images = self.aut.tables, self.images
+        tab, images = self.aut.tables, self.aut.images
         mask = np.zeros(self.N, dtype=bool)
         ident = self.aut.identity_index
         mask[ident] = True
@@ -375,35 +397,31 @@ class EngineContext:
         return mask, size
 
     def find_generators(
-        self, members: np.ndarray, cols: np.ndarray, seed: str, positions=slice(None)
+        self, c: MemberList, seed: str, positions=slice(None)
     ) -> tuple[list[int], list[np.ndarray]]:
-        """Generators of a subgroup of a proper subgroup's member list, and their permutations.
+        """Generators of a subgroup of a proper member list, and their permutations.
 
-        members is the sorted member-index list, cols their values (row x
-        holds m(x) for every member m) and positions, ascending, the
-        subgroup's positions in it (default: all).  Random members outside
+        positions, ascending, are the subgroup's positions in c (default:
+        all), and the generators are positions too.  Random members outside
         the subgroup S generated so far are added until S is all of it;
         each addition at least doubles S, so 64 tries cover any group.
         Right multiplication by a drawn g is computed once, as a permutation
-        q of members' positions (m -> m g, read through position_map and
-        checked), and returned with g.  S grows to S<g> by doubling
-        (S <- S ∪ S q, q <- q q), then by a breadth-first sweep of all the
-        permutations.  Aut(G) itself is never searched: its generators are agens.
+        q of c's positions (m -> m g, c.products), and returned with g.  S
+        grows to S<g> by doubling (S <- S ∪ S q, q <- q q), then by a
+        breadth-first sweep of all the permutations.  Aut(G) itself is never
+        searched: its generators are agens.
         """
-        pos_map = self.position_map(members)
         rng = random.Random(f"{self.seed_base}:{seed}")
         gens: list[int] = []
         perms: list[np.ndarray] = []
-        pool = members[positions]
-        inside = members == self.aut.identity_index
-        while not inside[positions].all():
+        pool = np.arange(len(c.members))[positions]
+        inside = c.members == self.aut.identity_index
+        while not inside[pool].all():
             if len(gens) == _MAX_GENERATOR_TRIES:
                 raise AssertionError(f"could not generate subgroup of size {len(pool)}")
-            outside = pool[~inside[positions]]
+            outside = pool[~inside[pool]]
             gens.append(int(outside[rng.randrange(len(outside))]))
-            pos = _member_products(self, cols, gens[-1])
-            pos = _positions(members, pos_map, pos, "closure left the subgroup")
-            perms.append(pos.astype(np.int32, copy=False))
+            perms.append(c.products(gens[-1], "closure left the subgroup").astype(np.int32))
             # S<g> = S {1, g, ..., g^(2^k - 1)} once S g^(2^k) adds nothing
             q = perms[-1]
             while True:
@@ -414,7 +432,8 @@ class EngineContext:
                 inside.put(idx, True)
                 q = q.take(q)
             _sweep(perms, np.flatnonzero(inside), inside, True)
-        return gens or [self.aut.identity_index], perms
+        # no draw: the pool is the identity alone
+        return gens or np.flatnonzero(inside).tolist(), perms
 
     @property
     def agens(self) -> list[int]:
@@ -425,18 +444,10 @@ class EngineContext:
         """
         return self.aut.gens
 
-    def position_map(self, members: np.ndarray) -> np.ndarray:
-        """N-entry int32 map from member index to position in a member list.
-
-        One array per context, written at members on every call: entries
-        outside members are stale, so each read is checked (_positions).
-        """
-        self._position_map[members] = np.arange(len(members), dtype=np.int32)
-        return self._position_map
-
     @cached_property
-    def _position_map(self) -> np.ndarray:
-        return np.empty(self.N, dtype=np.int32)
+    def all_members(self) -> MemberList:
+        """All of Aut(G) as a member list, generated by agens."""
+        return MemberList(self, np.arange(self.N, dtype=np.int32))
 
     def centralizer_mask(self, f: int) -> np.ndarray:
         """Members m with f m == m f, by _commuting over every member.
@@ -444,11 +455,11 @@ class EngineContext:
         The members go _CHUNK_ROWS at a time: their generator images and a
         column block of the element-major tables.T, both with contiguous rows.
         """
-        by_element, ft, gp = self.aut.tables.T, self.aut.member_table(f)[None], self.gen_pos
+        by_element, ft, gp = self.aut.tables.T, self.aut.member_table(f)[None], self.aut.gen_pos
         out = np.empty(self.N, dtype=bool)
         for lo in range(0, self.N, _CHUNK_ROWS):
             block = slice(lo, lo + _CHUNK_ROWS)
-            out[block] = _commuting(ft, gp, self.images[block].T, by_element[:, block])
+            out[block] = _commuting(ft, gp, self.aut.images[block].T, by_element[:, block])
         return out
 
     def centralizer_members(self, f: int) -> np.ndarray:
@@ -502,20 +513,21 @@ class ClassResult:
         return self.cq * order, self.mq * order
 
 
-def _spanning_values(ctx: EngineContext, f: int, ms) -> np.ndarray:
-    """(rows, rank) values g - f(g) - m(g) on the canonical generators g, per member m of ms.
+def _spanning_values(ctx: EngineContext, f_images, m_images) -> np.ndarray:
+    """(rows, rank) values g - f(g) - m(g) on the canonical generators g, per row m(g) of m_images.
 
-    x - f(x) - m(x) is a homomorphism, so these rank values span its image.
+    f_images is f's row of images, or one per row.  x - f(x) - m(x) is a
+    homomorphism, so these rank values span its image.
     """
     reg = ctx.subgroups
-    d1 = _take2(reg.sub, ctx.gen_pos, ctx.images[f])  # g - f(g) per canonical generator g
-    return _take2(reg.sub, d1, ctx.images[ms])
+    d1 = _take2(reg.sub, ctx.aut.gen_pos, f_images)  # g - f(g) per canonical generator g
+    return _take2(reg.sub, d1, m_images)
 
 
 def _images_minus_one(ctx: EngineContext, zs) -> np.ndarray:
-    """Registry ids of T = Im(z - 1) for each z in zs, spanned by the (z - 1)g."""
+    """Registry ids of T = Im(z - 1), spanned by the (z - 1)g, per row z(g) of zs."""
     reg = ctx.subgroups
-    return reg.span(np.zeros(len(zs), dtype=np.int32), _take2(reg.sub, ctx.images[zs], ctx.gen_pos).T)
+    return reg.span(np.zeros(len(zs), dtype=np.int32), _take2(reg.sub, zs, ctx.aut.gen_pos).T)
 
 
 def _coset_data(ctx: EngineContext, f: int) -> np.ndarray:
@@ -526,26 +538,25 @@ def _coset_data(ctx: EngineContext, f: int) -> np.ndarray:
     member x element array.  The cosets of each subgroup are read from
     the registry by id.
     """
-    t = _spanning_values(ctx, f, slice(None))  # (N, rank)
+    t = _spanning_values(ctx, ctx.aut.images[f], ctx.aut.images)  # (N, rank)
     return ctx.subgroups.span(np.zeros(ctx.N, dtype=np.int32), t.T)
 
 
-def _centralizer(ctx: EngineContext, f: int) -> tuple[np.ndarray, np.ndarray | None, list[int]]:
-    """C(f) for a per-class route: members, their values and generators.
+def _centralizer(ctx: EngineContext, f: int) -> MemberList:
+    """C(f) for a per-class route, as a member list with its generators.
 
-    members is C(f)'s sorted member list and cols their values, row x
-    holding m(x) for every member m: the row gather tables.T[:, members] of
-    the element-major tables.  A class of size 1 says C(f) is all of Aut:
-    no scan is made, the generators are agens, and cols is None, the values
-    being evaluated from the generator images (see _member_products).
+    A class of size 1 says C(f) is all of Aut: no scan or search is made
+    (all_members).  Otherwise the scanned C(f) must divide |Aut|, and its
+    generators come from the local search (find_generators).
     """
     if ctx.class_sizes[f] == 1:
-        return np.arange(ctx.N, dtype=np.int32), None, ctx.agens
+        return ctx.all_members
     members = ctx.centralizer_members(f)
     if ctx.N % len(members):
         raise AssertionError("centralizer size does not divide the group order")
-    cols = ctx.aut.tables.T[:, members]
-    return members, cols, ctx.find_generators(members, cols, f"class {f}")[0]
+    c = MemberList(ctx, members)
+    c.gens = ctx.find_generators(c, f"class {f}")[0]
+    return c
 
 
 def process_class(ctx: EngineContext, f: int) -> ClassResult:
@@ -557,9 +568,9 @@ def process_class(ctx: EngineContext, f: int) -> ClassResult:
     """
     N = ctx.N
     reg = ctx.subgroups
-    members, _, cgens = _centralizer(ctx, f)
+    c = _centralizer(ctx, f)
 
-    mperms = [ctx.conj_perm(h) for h in cgens]
+    mperms = [ctx.conj_perm(h) for h in c.members[c.gens]]
     # every generator must fix f's conjugacy behaviour: h f h^-1 == f
     for p in mperms:
         if p[f] != f:
@@ -581,11 +592,10 @@ def process_class(ctx: EngineContext, f: int) -> ClassResult:
     # values of one member that carries S.  A member h m h^-1 has image h(S),
     # so s[mp] must read the same id; an h(S) that no member carries fails too.
     family, carriers, of_member = np.unique(s, return_index=True, return_inverse=True)
-    spanning = _spanning_values(ctx, f, carriers)
+    spanning = _spanning_values(ctx, ctx.aut.images[f], ctx.aut.images[carriers])
 
     pperms = []
-    for h, mp in zip(cgens, mperms):
-        htab = ctx.aut.tables[h]
+    for htab, mp in zip(c.tables(c.gens), mperms):
         moved = reg.span(np.zeros(len(family), dtype=np.int32), htab[spanning].T)
         s2 = s[mp]
         if not np.array_equal(s2, moved[of_member]):
@@ -605,7 +615,7 @@ def process_class(ctx: EngineContext, f: int) -> ClassResult:
     root_idx = _roots(labels)
     cq = len(root_idx)
     root_members = m_of_point[root_idx].astype(np.int64)
-    medial_mask = np.isin(root_members, members)
+    medial_mask = np.isin(root_members, c.members)
     mq = int(np.count_nonzero(medial_mask))
     # a pair orbit covers the C(f)-orbit of its members, every member has a
     # coset, and points grow with m, so each orbit's root lies over the
@@ -613,7 +623,7 @@ def process_class(ctx: EngineContext, f: int) -> ClassResult:
     # exactly the C(f)-orbits of members (membership in C(f) is C(f)-invariant)
     orbit_members = np.unique(root_members)
     pair_orbits = len(orbit_members)
-    commuting_pair_orbits = int(np.count_nonzero(np.isin(orbit_members, members)))
+    commuting_pair_orbits = int(np.count_nonzero(np.isin(orbit_members, c.members)))
 
     triples = [
         (int(m), int(r), bool(md))
@@ -621,7 +631,7 @@ def process_class(ctx: EngineContext, f: int) -> ClassResult:
     ]
     return ClassResult(
         rep=f,
-        centralizer_order=len(members),
+        centralizer_order=len(c.members),
         pair_orbits=pair_orbits,
         commuting_pair_orbits=commuting_pair_orbits,
         cq=cq,
@@ -668,29 +678,22 @@ class ClassTerms:
         )
 
 
-def _local_class_labels(
-    ctx: EngineContext, h: int, members: np.ndarray, cols_c: np.ndarray, cgens: list[int]
-) -> np.ndarray:
-    """Conjugacy class labels of C(h), over positions in its member list.
+def _local_class_labels(c: MemberList, h: int) -> np.ndarray:
+    """Conjugacy class labels of a proper C(h), over positions in its member list.
 
-    members is C(h) as sorted member indices and cols_c their values (row
-    x holds m(x) for every member m); conjugation by each generator,
-    g m g^-1, is found from generator images as in conj_perm, over these
-    members only, as a permutation of local positions read through
-    position_map.  A conjugate outside members raises.
+    Conjugation by each generator, g m g^-1, is found from generator
+    images as in conj_perm, over C(h)'s members only, as a permutation of
+    positions (c.products).  A generator that does not commute with h, or a
+    conjugate outside the list, raises.
     """
-    pos_map = ctx.position_map(members)
-    h_pos = int(np.searchsorted(members, h))
-    perms = []
-    for g in cgens:
-        glob = _member_products(ctx, cols_c, g, conjugate=True)
-        # every generator must fix h's position: g h g^-1 == h, and then
-        # conjugation by g maps C(h) onto itself
-        if glob[h_pos] != h:
-            raise AssertionError("generator does not centralize the representative")
-        pos = _positions(members, pos_map, glob, "conjugation left the centralizer")
-        perms.append(pos.astype(np.intp))  # the labels gather through them every round
-    return _orbit_min_labels(perms, len(members))
+    # every generator must centralize h: then conjugation by it maps C(h) onto itself
+    htab, gtabs = c.aut.member_table(h), c.tables(c.gens)
+    if (htab[gtabs] != gtabs[:, htab]).any():
+        raise AssertionError("generator does not centralize the representative")
+    what = "conjugation left the centralizer"
+    # intp: the labels gather through them every round
+    perms = [c.products(g, what, conjugate=True).astype(np.intp) for g in c.gens]
+    return _orbit_min_labels(perms, len(c.members))
 
 
 def _term_chunks(rows: np.ndarray, width: int):
@@ -707,21 +710,19 @@ def _term_chunks(rows: np.ndarray, width: int):
         a = b
 
 
-def _centre_cosets(
-    ctx: EngineContext, h: int, members: np.ndarray, cols_c: np.ndarray, zpos: np.ndarray
-) -> np.ndarray:
+def _centre_cosets(ctx: EngineContext, c: MemberList, h: int, zpos: np.ndarray) -> np.ndarray:
     """C(h)'s positions by coset of its centre Z: one row per coset, its smallest position first.
 
-    members is a proper C(h) as sorted member indices, cols_c their values
-    and zpos the positions of Z, C(h)'s singleton classes.  The local search
-    for Z's generators gives right multiplication by each as a permutation
-    of C(h)'s positions (m -> m z): the cosets mZ are their orbits.
+    c is a proper C(h) and zpos the positions of Z, C(h)'s singleton
+    classes.  The local search for Z's generators gives right
+    multiplication by each as a permutation of C(h)'s positions
+    (m -> m z): the cosets mZ are their orbits.
     """
-    perms = ctx.find_generators(members, cols_c, f"centre {h}", zpos)[1]
+    perms = ctx.find_generators(c, f"centre {h}", zpos)[1]
     # intp: the labels gather through them every round
-    labels = _orbit_min_labels([p.astype(np.intp) for p in perms], len(members))
+    labels = _orbit_min_labels([p.astype(np.intp) for p in perms], len(c.members))
     cosets = len(_roots(labels))
-    if cosets * len(zpos) != len(members):
+    if cosets * len(zpos) != len(c.members):
         raise AssertionError("cosets of the centre do not tile the centralizer")
     return np.argsort(labels, kind="stable").astype(np.int32).reshape(cosets, len(zpos))
 
@@ -733,7 +734,7 @@ def _medial_fixed(
     ftabs: np.ndarray,
     d: np.ndarray,
     sizes: np.ndarray,
-    cols_c: np.ndarray,
+    c: MemberList,
     blocks: np.ndarray,
 ) -> np.ndarray:
     """Sum of [G : S + T] over psi in C(f) ∩ C(h), S = Im(1 - f - psi), per T and term f.
@@ -742,8 +743,8 @@ def _medial_fixed(
     rows for them: ftabs their tables and d the values g - f(g) on the
     canonical generators.  sizes are their class sizes in C(h) and ts the
     registry ids of T = Im(z - 1), one per class z that shares C(h): the
-    rows (len(ts), len(fs)) of the result.  cols_c holds C(h)'s values and
-    blocks its positions by coset of its centre Z (_centre_cosets).  f lies
+    rows (len(ts), len(fs)) of the result.  c is a proper C(h) and blocks
+    its positions by coset of its centre Z (_centre_cosets).  f lies
     in C(h), so Z lies in C(f) ∩ C(h), a union of cosets of Z: one
     _commuting call tests a run of terms against the cosets' first members,
     and every member of a surviving coset is a psi.  Each run's join rows
@@ -751,10 +752,10 @@ def _medial_fixed(
     term) are spanned from each T in turn, and the coset counts are summed
     per term.
     """
-    reg, gp = ctx.subgroups, ctx.gen_pos
-    c_size = cols_c.shape[1]
-    img = cols_c[gp]  # (rank, |C(h)|): psi(g)
-    root_cols = cols_c[:, blocks[:, 0]]
+    reg, gp = ctx.subgroups, ctx.aut.gen_pos
+    c_size = len(c.members)
+    img = c.values[gp]  # (rank, |C(h)|): psi(g)
+    root_cols = c.values[:, blocks[:, 0]]
     root_img = root_cols[gp].astype(np.intp)  # a take casts narrower indices on every call
     out = np.zeros((len(ts), len(fs)), dtype=np.int64)
     for a, b in _term_chunks(c_size // sizes, len(blocks)):
@@ -795,9 +796,9 @@ def count_class(ctx: EngineContext, h: int) -> list[ClassTerms]:
     terms make up the centre Z of C(h), and the other terms of a proper
     C(h) are tested for commuting once per coset of Z (_centre_cosets); for
     a central h they hold the fixed terms until enumerate_counts fills them.
-    No pair space is built, and only C(h) is scanned: a proper C(h) is
-    handled in its own member list, and generator searches, class labels,
-    centre cosets and the commuting test never touch the rest of Aut(G).
+    No pair space is built, and only C(h) is scanned: every step reads C(h)
+    as one member list (_centralizer), and a proper C(h)'s searches, labels,
+    centre cosets and commuting test never touch the rest of Aut(G).
 
     A representative z in Z whose Aut-wide class has h's size has
     C(z) = C(h): C(h) lies in C(z), and orbit-stabilizer gives both the
@@ -808,23 +809,21 @@ def count_class(ctx: EngineContext, h: int) -> list[ClassTerms]:
     """
     n = ctx.group.order
     reg = ctx.subgroups
-    tab, gp = ctx.aut.tables, ctx.gen_pos
-    members, cols_c, cgens = _centralizer(ctx, h)
-    c_size = len(members)
+    gp = ctx.aut.gen_pos
+    c = _centralizer(ctx, h)
+    c_size = len(c.members)
     aut_sizes = ctx.class_sizes
     if c_size * aut_sizes[h] != ctx.N:
         raise AssertionError("the centralizer's order times its class size is not |Aut|")
-    if cols_c is None:  # central h: C(h) is Aut, with Aut's classes
-        labels = ctx.class_labels
-    else:
-        labels = _local_class_labels(ctx, h, members, cols_c, cgens)
+    # a central h's C(h) is Aut, with Aut's classes
+    labels = _local_class_labels(c, h) if c.proper else ctx.class_labels
     roots = _roots(labels)
     sizes = np.bincount(labels, minlength=c_size)[roots]
     if int(sizes.sum()) != c_size:
         raise AssertionError("class sizes of the centralizer do not add up to its order")
-    fs = members[roots]
-    ftabs = tab[fs]
-    gtabs = tab[cgens]
+    fs = c.members[roots]
+    ftabs = c.tables(roots)
+    gtabs = c.tables(c.gens)
     # f alone in its class of C(h): its medial term is its fixed term, once
     # f is checked to commute with C(h)'s generators
     single = sizes == 1
@@ -833,7 +832,7 @@ def count_class(ctx: EngineContext, h: int) -> list[ClassTerms]:
     # the representatives that share C(h): in its centre, with h's class size
     zs = [h] + [z for z in fs[single].tolist() if z != h and aut_sizes.get(z) == aut_sizes[h]]
 
-    ts = _images_minus_one(ctx, zs)
+    ts = _images_minus_one(ctx, c.images[np.searchsorted(c.members, zs)])
     _, orbit, orbit_size = np.unique(
         _orbit_min_labels(list(gtabs), n), return_inverse=True, return_counts=True
     )
@@ -852,10 +851,10 @@ def count_class(ctx: EngineContext, h: int) -> list[ClassTerms]:
 
     medial_fixed = fix.copy()
     rest = ~single
-    if cols_c is not None and rest.any():
-        blocks = _centre_cosets(ctx, h, members, cols_c, roots[single])
+    if c.proper and rest.any():
+        blocks = _centre_cosets(ctx, c, h, roots[single])
         medial_fixed[:, rest] = _medial_fixed(
-            ctx, ts, fs[rest], ftabs[rest], moved[:, gp][rest], sizes[rest], cols_c, blocks
+            ctx, ts, fs[rest], ftabs[rest], moved[:, gp][rest], sizes[rest], c, blocks
         )
     return [
         ClassTerms(
@@ -917,9 +916,10 @@ def _fill_central_terms(ctx: EngineContext, results: list[ClassTerms]) -> None:
     """
     reg = ctx.subgroups
     central = [r for r in results if r.centralizer_order == ctx.N]
-    zs = np.asarray([r.rep for r in central])
-    fs = np.repeat([r.rep for r in results], [len(r.reps) for r in results])
-    vals = _spanning_values(ctx, fs, np.concatenate([r.reps for r in results])).T
+    # the generator images of every central h, and of f per row (f, psi')
+    zs = ctx.aut.images[[r.rep for r in central]]
+    fs = ctx.aut.images[np.repeat([r.rep for r in results], [len(r.reps) for r in results])]
+    vals = _spanning_values(ctx, fs, ctx.aut.images[np.concatenate([r.reps for r in results])]).T
     s = reg.span(np.repeat(_images_minus_one(ctx, zs), len(fs)), np.tile(vals, len(zs)))
     weighted = reg.counts[s].reshape(len(zs), -1) * np.concatenate([r.class_sizes for r in results])
     starts = np.cumsum([0] + [len(r.reps) for r in results[:-1]])

@@ -279,7 +279,7 @@ def medial_fixed_full(ctx: EngineContext, h: int, fs: list[int]) -> list[int]:
     canonical generators, and each survivor's image is spanned from
     T = Im(h - 1) by its own chain of registry joins (one row per psi).
     """
-    reg, gp = ctx.subgroups, ctx.gen_pos
+    reg, gp = ctx.subgroups, ctx.aut.gen_pos
     members = ctx.centralizer_members(h)
     cols, imgs = ctx.aut.tables[members], ctx.aut.images[members]  # per psi: psi(x), psi(g)
     t = reg.span(np.zeros(1, dtype=np.int32), reg.sub[ctx.aut.images[h], gp][:, None])

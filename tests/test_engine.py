@@ -15,6 +15,7 @@ import pytest
 from centralq import _engine
 from centralq._engine import (
     EngineContext,
+    MemberList,
     SubgroupRegistry,
     _coset_data,
     _inverse_perm,
@@ -188,14 +189,35 @@ def test_a_class_of_size_one_must_be_central(monkeypatch):
         process_class(ctx, f)
 
 
-def test_centralizer_generators_must_centralize(monkeypatch):
+def _outsider_generator(monkeypatch):
+    """C3xC3 and a proper class h whose scan swaps a member for a non-member, its only generator.
+
+    The non-member takes the place of C(h)'s largest member other than h,
+    so the list keeps its order and h.
+    """
     g = parse_group("C3xC3")
     A = aut_group(g)
     ctx = EngineContext(g, A)
     reps = conjugacy_class_reps(A).representatives
-    f = next(r for r in reps if not ctx.centralizer_mask(r).all())
-    outsider = int(np.flatnonzero(~ctx.centralizer_mask(f))[0])
-    monkeypatch.setattr(EngineContext, "find_generators", lambda self, *args: ([outsider], []))
+    h = next(r for r in reps if not ctx.centralizer_mask(r).all())
+    outsider = int(np.flatnonzero(~ctx.centralizer_mask(h))[0])
+    real = EngineContext.centralizer_members
+
+    def swapped(self, f):
+        members = real(self, f)
+        dropped = members[-1] if members[-1] != f else members[-2]
+        return np.sort(np.append(members[members != dropped], outsider)).astype(members.dtype)
+
+    def outsider_only(self, c, *args):
+        return [int(np.searchsorted(c.members, outsider))], []
+
+    monkeypatch.setattr(EngineContext, "centralizer_members", swapped)
+    monkeypatch.setattr(EngineContext, "find_generators", outsider_only)
+    return ctx, h
+
+
+def test_centralizer_generators_must_centralize(monkeypatch):
+    ctx, f = _outsider_generator(monkeypatch)
     with pytest.raises(AssertionError, match="does not centralize the representative"):
         process_class(ctx, f)
 
@@ -212,8 +234,8 @@ def test_local_generator_search_matches_the_closure_search(desc, proper):
         members = ctx.centralizer_members(h)
         if len(members) == len(A):
             continue
-        cols = np.ascontiguousarray(A.tables[members].T)
-        gens, _ = ctx.find_generators(members, cols, f"class {h}")
+        c = MemberList(ctx, members)
+        gens = c.members[ctx.find_generators(c, f"class {h}")[0]].tolist()
         assert gens == closure_generators(ctx, members, len(members), f"class {h}"), h
         assert ctx.closure_mask(gens)[1] == len(members)
         checked += 1
@@ -249,17 +271,11 @@ def test_generator_search_refuses_an_unclosed_pool():
     x = next(m for m in range(len(A)) if ctx.closure_mask([m])[1] == 3)
     pool = np.asarray(sorted([A.identity_index, x]))
     with pytest.raises(AssertionError, match="closure left the subgroup"):
-        ctx.find_generators(pool, np.ascontiguousarray(A.tables[pool].T), "unclosed")
+        ctx.find_generators(MemberList(ctx, pool), "unclosed")
 
 
 def test_count_class_generators_must_centralize(monkeypatch):
-    g = parse_group("C3xC3")
-    A = aut_group(g)
-    ctx = EngineContext(g, A)
-    reps = conjugacy_class_reps(A).representatives
-    h = next(r for r in reps if not ctx.centralizer_mask(r).all())
-    outsider = int(np.flatnonzero(~ctx.centralizer_mask(h))[0])
-    monkeypatch.setattr(EngineContext, "find_generators", lambda self, *args: ([outsider], []))
+    ctx, h = _outsider_generator(monkeypatch)
     with pytest.raises(AssertionError, match="does not centralize the representative"):
         count_class(ctx, h)
 
@@ -322,9 +338,9 @@ def _noncentral_rep(desc):
 def test_class_sizes_must_add_up(monkeypatch):
     ctx, h = _noncentral_rep("C2^4")
 
-    def shifted(ctx, h, members, *args):
+    def shifted(c, h):
         # no point is its own label, so no class has a representative
-        return np.roll(np.arange(len(members)), 1)
+        return np.roll(np.arange(len(c.members)), 1)
 
     monkeypatch.setattr(_engine, "_local_class_labels", shifted)
     with pytest.raises(AssertionError, match="class sizes of the centralizer"):
@@ -334,9 +350,9 @@ def test_class_sizes_must_add_up(monkeypatch):
 def test_scanned_centralizer_must_match_the_class_size(monkeypatch):
     ctx, h = _noncentral_rep("C2^4")
 
-    def singletons(ctx, h, members, *args):
+    def singletons(c, h):
         # every member of C(h) its own class: a consistent labelling, wrong sizes
-        return np.arange(len(members))
+        return np.arange(len(c.members))
 
     monkeypatch.setattr(_engine, "_local_class_labels", singletons)
     with pytest.raises(AssertionError, match="scanned centralizer disagrees"):
@@ -379,11 +395,11 @@ def test_centre_cosets_must_tile_the_centralizer(monkeypatch):
     ctx, h = _noncentral_rep("C2^4")
     real = EngineContext.find_generators
 
-    def identity_only(self, members, cols, seed, positions=None):
+    def identity_only(self, c, seed, positions=slice(None)):
         # the centre's generators: only the identity, so every coset is one member
         if seed.startswith("centre"):
-            return [self.aut.identity_index], []
-        return real(self, members, cols, seed, positions)
+            return [int(np.searchsorted(c.members, self.aut.identity_index))], []
+        return real(self, c, seed, positions)
 
     monkeypatch.setattr(EngineContext, "find_generators", identity_only)
     with pytest.raises(AssertionError, match="cosets of the centre do not tile"):
@@ -419,20 +435,21 @@ def test_medial_commuting_test_runs_once_per_centre_coset(monkeypatch):
 
 def test_local_class_labels_refuse_a_conjugate_outside_the_centralizer(monkeypatch):
     ctx, h = _noncentral_rep("C2^4")
-    members, cols, cgens = _engine._centralizer(ctx, h)
-    h_pos = int(np.searchsorted(members, h))
+    c = _engine._centralizer(ctx, h)
+    h_pos = int(np.searchsorted(c.members, h))
     # a non-member below the last member: a sorted search would place it silently
-    outsider = int(np.setdiff1d(np.arange(members[-1]), members)[0])
-    real = _engine._member_products
+    outsider = int(np.setdiff1d(np.arange(c.members[-1]), c.members)[0])
+    real = ctx.aut.lookup_images
 
-    def one_outsider(*args, **kwargs):
-        out = real(*args, **kwargs)
+    def one_outsider(images):
+        # the conjugates' member indices, before the list reads them back
+        out = real(images)
         out[(h_pos + 1) % len(out)] = outsider  # not at h's position
         return out
 
-    monkeypatch.setattr(_engine, "_member_products", one_outsider)
+    monkeypatch.setattr(ctx.aut, "lookup_images", one_outsider)
     with pytest.raises(AssertionError, match="conjugation left the centralizer"):
-        _engine._local_class_labels(ctx, h, members, cols, cgens)
+        _engine._local_class_labels(c, h)
 
 
 @pytest.mark.parametrize("desc", ["C4xC4xC2", "C11xC11", "C8xC2xC2xC2"])
@@ -921,3 +938,33 @@ def test_class_labels_never_invert_a_member_permutation(monkeypatch):
     monkeypatch.setattr(_engine, "_inverse_perm", refuse)
     labels = ctx.conjugacy_class_labels()
     assert len(_engine._roots(labels)) == 24
+
+
+_PINNED = ["C2^4", "C3^3", "C4xC2xC2", "C4xC4xC2xC2"]
+
+
+def test_count_class_terms_are_pinned():
+    # every representative's count_class result, central ones unfilled
+    terms = []
+    for desc in _PINNED:
+        A = aut_group(parse_group(desc))
+        ctx = EngineContext(A.group, A)
+        terms += [repr(count_class(ctx, h)) for h in ctx.class_sizes]
+    assert len(terms) == 151
+    digest = hashlib.md5("\n".join(terms).encode()).hexdigest()
+    assert digest == "1f038af1d7f447ab6c03c072f11b3379"
+
+
+def test_centralizer_generators_are_pinned():
+    # the seeded local search's generators of every proper C(h), as member indices
+    gens = []
+    for desc in _PINNED:
+        A = aut_group(parse_group(desc))
+        ctx = EngineContext(A.group, A)
+        for h, k in ctx.class_sizes.items():
+            if k > 1:
+                c = _engine._centralizer(ctx, h)
+                gens.append(repr((desc, h, [int(x) for x in c.members[c.gens]])))
+    assert len(gens) == 144
+    digest = hashlib.md5("\n".join(gens).encode()).hexdigest()
+    assert digest == "59dda788bbf0deff2552f7c7b05892b4"
